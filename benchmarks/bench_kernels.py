@@ -9,6 +9,7 @@ Usage: python3 benchmarks/bench_kernels.py [--max-p N] [--repeat N]
 """
 
 import argparse
+import os
 import random
 import subprocess
 import sys
@@ -102,8 +103,10 @@ def bench_sweep(max_p, out):
         [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
-        env={"SIGMATAU_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "SIGMATAU_PURE": "1"},
     )
+    if proc.returncode != 0:
+        raise SystemExit(f"pure sweep subprocess failed:\n{proc.stderr}")
     pure_s = float(proc.stdout.strip())
     label = f"sweep p<={max_p} ({len(report.cases)} cases)"
     _print_row(out, label, compiled_s, pure_s)

@@ -2,9 +2,9 @@
 
 An algebra of rank n is described by an n x n x n integer tensor: table[i][j]
 is the coordinate vector of basis_i * basis_j. Elements are coordinate tuples
-and all arithmetic is exact. Twisted maps come in two flavours: LinearMap
-(arbitrary images of the basis) and Endomorphism (checked to be multiplicative
-and unital at construction).
+and all arithmetic is exact. Twisted maps come in three flavours: LinearMap
+(arbitrary images of the basis), and Endomorphism and Derivation, checked at
+construction to be unital multiplicative and a (sigma, tau)-derivation.
 """
 
 from __future__ import annotations
@@ -151,9 +151,23 @@ class Endomorphism(LinearMap):
 
     def __init__(self, spec: AlgebraSpec, images, name: str | None = None):
         super().__init__(spec, images, name)
-        bad = endomorphism_failure(spec, self.images)
+        bad = endomorphism_failure(spec, self)
         if bad is not None:
             raise ValueError(f"not an endomorphism: fails at {bad}")
+
+
+class Derivation(LinearMap):
+    """(sigma, tau)-derivation, checked once at construction; sigma and tau
+    are kept as Endomorphisms (see _twist_pair)."""
+
+    __slots__ = ("sigma", "tau")
+
+    def __init__(self, spec: AlgebraSpec, images, sigma, tau, name: str | None = None):
+        super().__init__(spec, images, name)
+        self.sigma, self.tau = _twist_pair(spec, sigma, tau)
+        bad = _backend.derivation_failure(spec.table, self.images, self.sigma.images, self.tau.images)
+        if bad is not None:
+            raise ValueError(f"D is not a derivation for this pair (law fails at basis pair {bad})")
 
 
 def _images_of(m, spec: AlgebraSpec) -> tuple[Coords, ...]:
@@ -166,9 +180,12 @@ def _images_of(m, spec: AlgebraSpec) -> tuple[Coords, ...]:
 
 def apply_map(spec: AlgebraSpec, images, x: Sequence[int]) -> Coords:
     """Image of x under the additive map with the given basis images."""
-    imgs = _images_of(images, spec)
-    n = spec.rank
-    x = _coords(x, n)
+    return _apply(_images_of(images, spec), _coords(x, spec.rank))
+
+
+def _apply(imgs, x: Coords) -> Coords:
+    # imgs and x are already checked coordinate tuples
+    n = len(imgs)
     acc = [0] * n
     for s, c in enumerate(x):
         if c:
@@ -185,12 +202,12 @@ def endomorphism_failure(spec: AlgebraSpec, m) -> tuple | None:
     basis pair (i, j) with m(ei*ej) != m(ei)m(ej) in row-major order.
     """
     imgs = _images_of(m, spec)
-    if apply_map(spec, imgs, spec.unity) != spec.unity:
+    if _apply(imgs, spec.unity) != spec.unity:
         return ("unity",)
     n = spec.rank
     for i in range(n):
         for j in range(i, n):
-            lhs = apply_map(spec, imgs, spec.table[i][j])
+            lhs = _apply(imgs, spec.table[i][j])
             if lhs != mul(spec, imgs[i], imgs[j]):
                 return (i, j)
     return None
@@ -214,16 +231,18 @@ def associativity_failure(spec: AlgebraSpec) -> tuple | None:
     return None
 
 
-def _twist_pair(spec: AlgebraSpec, sigma, tau):
-    s_imgs = _images_of(sigma, spec)
-    t_imgs = _images_of(tau, spec)
-    if not isinstance(sigma, Endomorphism) and not is_endomorphism(spec, s_imgs):
-        raise ValueError("sigma is not an endomorphism")
-    if not isinstance(tau, Endomorphism) and not is_endomorphism(spec, t_imgs):
-        raise ValueError("tau is not an endomorphism")
-    if s_imgs == t_imgs:
+def _twist_pair(spec: AlgebraSpec, sigma, tau) -> tuple[Endomorphism, Endomorphism]:
+    """sigma and tau as distinct Endomorphisms of spec; only maps that are
+    not Endomorphisms yet are checked."""
+    pair = tuple(
+        m if isinstance(m, Endomorphism) else Endomorphism(spec, _images_of(m, spec))
+        for m in (sigma, tau)
+    )
+    if any(m.spec != spec for m in pair):
+        raise ValueError("endomorphism belongs to a different algebra")
+    if pair[0].images == pair[1].images:
         raise ValueError("sigma and tau must differ")
-    return s_imgs, t_imgs
+    return pair
 
 
 def derivation_failure(spec: AlgebraSpec, d, sigma, tau) -> tuple[int, int] | None:
@@ -233,8 +252,8 @@ def derivation_failure(spec: AlgebraSpec, d, sigma, tau) -> tuple[int, int] | No
     sigma and tau must be distinct endomorphisms.
     """
     d_imgs = _images_of(d, spec)
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
-    return _backend.derivation_failure(spec.table, d_imgs, s_imgs, t_imgs)
+    sigma, tau = _twist_pair(spec, sigma, tau)
+    return _backend.derivation_failure(spec.table, d_imgs, sigma.images, tau.images)
 
 
 def is_derivation(spec: AlgebraSpec, d, sigma, tau) -> bool:
@@ -249,8 +268,8 @@ def _power_sum_chain(spec: AlgebraSpec, s_imgs, t_imgs, alpha: Coords, kmax: int
     The recurrence needs s_imgs and t_imgs to be multiplicative; callers
     validate that before reaching here.
     """
-    s_alpha = apply_map(spec, s_imgs, alpha)
-    t_alpha = apply_map(spec, t_imgs, alpha)
+    s_alpha = _apply(s_imgs, alpha)
+    t_alpha = _apply(t_imgs, alpha)
     chain = [spec.unity]
     tpow = spec.unity
     for _ in range(kmax - 1):
@@ -271,8 +290,8 @@ def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: 
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
-    return _power_sum(spec, s_imgs, t_imgs, spec.element(alpha), k)
+    sigma, tau = _twist_pair(spec, sigma, tau)
+    return _power_sum(spec, sigma.images, tau.images, spec.element(alpha), k)
 
 
 def mult_matrix(spec: AlgebraSpec, g: Sequence[int]) -> list[list[int]]:

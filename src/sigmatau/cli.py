@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 
 from . import codes, conjecture, derivations, rings
-from .algebra import LinearMap, derivation_failure
+from .algebra import Derivation, LinearMap, derivation_failure
 from .codes import BudgetExceededError
 from .conjecture import ConjectureViolationError
 from .derivations import InnernessVerdict
@@ -51,7 +52,7 @@ def _ring_args(args):
     return ring, sigma, tau
 
 
-def _build_derivation(ring, sigma, tau, args) -> LinearMap:
+def _build_derivation(ring, sigma, tau, args) -> Derivation:
     """Build the map from --dzeta (cyclotomic convenience) or --images."""
     if getattr(args, "dzeta", None) is not None:
         if not isinstance(ring, rings.CyclotomicRing):
@@ -60,13 +61,7 @@ def _build_derivation(ring, sigma, tau, args) -> LinearMap:
             ring, sigma, tau, _parse_ints(args.dzeta)
         )
     if getattr(args, "images", None) is not None:
-        d = LinearMap(ring.spec, _parse_images(args.images))
-        fail = derivation_failure(ring.spec, d, sigma, tau)
-        if fail is not None:
-            raise ValueError(
-                f"images do not satisfy the derivation law at basis pair {fail}"
-            )
-        return d
+        return Derivation(ring.spec, _parse_images(args.images), sigma, tau)
     raise ValueError("one of --dzeta or --images is required")
 
 
@@ -352,10 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_coordinate_values(argv) -> list[str]:
+    # argparse reads "--dzeta -3,4" as two options; "--dzeta=-3,4" is unambiguous
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--dzeta", "--images") and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coordinate_values(argv))
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError, BudgetExceededError, ConjectureViolationError) as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _backend, _pykernels, intlinalg
@@ -156,6 +155,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET, jobs: int = 1) 
             step = count // jobs
             bounds = [1 + i * step for i in range(jobs)] + [count + 1]
             tasks = [(masks, bounds[i], bounds[i + 1] - 1) for i in range(jobs)]
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 d = min(pool.map(_gf2_shard, tasks))
         else:

@@ -11,7 +11,6 @@ never been observed but are tracked as their own outcome.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .intlinalg import det_bareiss, is_prime
@@ -96,6 +95,8 @@ def sweep(p_min: int = 3, p_max: int = 49, jobs: int = 1) -> SweepReport:
     if jobs == 1 or len(ps) <= 1:
         chunks = [_sweep_prime(p) for p in ps]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_sweep_prime, ps))
     cases = tuple(c for chunk in chunks for c in chunk)

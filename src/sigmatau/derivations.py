@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _backend, intlinalg
+from . import intlinalg
 from .algebra import (
     AlgebraSpec,
     Coords,
+    Derivation,
     Endomorphism,
     LinearMap,
     _images_of,
@@ -31,8 +32,9 @@ from .rings import (
     BiquadraticRing,
     CyclotomicRing,
     QuadraticRing,
+    _endomorphism_name_of,
+    _endomorphism_names,
     endomorphism_by_name,
-    endomorphisms,
     ring_from_json,
     ring_to_json,
 )
@@ -52,81 +54,69 @@ class DerivationSpace:
     ring: object
     sigma: Endomorphism
     tau: Endomorphism
-    basis_maps: tuple[LinearMap, ...]
+    basis_maps: tuple[Derivation, ...]
     rank: int
 
 
-def _as_endo(spec: AlgebraSpec, m) -> Endomorphism:
-    if isinstance(m, Endomorphism):
-        if m.spec != spec:
-            raise ValueError("endomorphism belongs to a different algebra")
-        return m
-    images = m.images if isinstance(m, LinearMap) else m
-    return Endomorphism(spec, images)
+def _as_derivation(spec: AlgebraSpec, sigma, tau, D) -> Derivation:
+    """D as a (sigma, tau)-Derivation. One already built for this pair is
+    taken as it is; anything else is checked here, once."""
+    if isinstance(D, Derivation) and D.spec == spec and (D.sigma, D.tau) == (sigma, tau):
+        return D
+    return Derivation(spec, _images_of(D, spec), sigma, tau)
 
 
-def _require_derivation(spec: AlgebraSpec, d_imgs, s_imgs, t_imgs) -> None:
-    bad = _backend.derivation_failure(spec.table, d_imgs, s_imgs, t_imgs)
-    if bad is not None:
-        raise ValueError(f"D is not a derivation for this pair (law fails at basis pair {bad})")
-
-
-def inner_derivation(spec: AlgebraSpec, sigma, tau, beta) -> LinearMap:
+def inner_derivation(spec: AlgebraSpec, sigma, tau, beta) -> Derivation:
     """The derivation x -> beta (tau(x) - sigma(x))."""
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
+    sigma, tau = _twist_pair(spec, sigma, tau)
     beta = spec.element(beta)
-    images = [mul(spec, beta, sub(t, s)) for s, t in zip(s_imgs, t_imgs)]
-    return LinearMap(spec, images)
+    images = [mul(spec, beta, sub(t, s)) for s, t in zip(sigma.images, tau.images)]
+    return Derivation(spec, images, sigma, tau)
 
 
-def _assert_witness(spec: AlgebraSpec, s_imgs, t_imgs, d_imgs, beta) -> None:
-    induced = tuple(mul(spec, beta, sub(t, s)) for s, t in zip(s_imgs, t_imgs))
-    if induced != tuple(d_imgs):
+def _assert_witness(d: Derivation, beta) -> None:
+    induced = tuple(mul(d.spec, beta, sub(t, s)) for s, t in zip(d.sigma.images, d.tau.images))
+    if induced != d.images:
         raise AssertionError("inner witness does not reproduce D")
 
 
-def _make_space(ring, sigma, tau, maps, generators) -> DerivationSpace:
-    spec = ring.spec
-    sigma = _as_endo(spec, sigma)
-    tau = _as_endo(spec, tau)
-    for mp in maps:
-        _require_derivation(spec, mp.images, sigma.images, tau.images)
+def _make_space(ring, maps: list[Derivation], generators) -> DerivationSpace:
     rows = [[v for g in generators for v in mp.images[g]] for mp in maps]
     rank = intlinalg.rank_int(rows)
-    return DerivationSpace(ring, sigma, tau, tuple(maps), rank)
+    return DerivationSpace(ring, maps[0].sigma, maps[0].tau, tuple(maps), rank)
 
 
 # ---------------------------------------------------------------- cyclotomic
 
-def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> LinearMap:
+def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Derivation:
     """Derivation with D(1) = 0, D(z) = d_zeta, and every D(z^k) forced.
 
     The twisted Leibniz law determines D(z^k) as the sum over i + j = k - 1
     of sigma(z^i) tau(z^j), times D(z); any d_zeta works.
     """
     spec = ring.spec
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
+    sigma, tau = _twist_pair(spec, sigma, tau)
     d_zeta = spec.element(d_zeta)
-    chain = _power_sum_chain(spec, s_imgs, t_imgs, spec.basis(1), ring.p - 2)
+    chain = _power_sum_chain(spec, sigma.images, tau.images, spec.basis(1), ring.p - 2)
     images = [spec.zero(), d_zeta]
     for k in range(2, ring.p - 1):
         images.append(mul(spec, chain[k - 1], d_zeta))
-    return LinearMap(spec, images)
+    return Derivation(spec, images, sigma, tau)
 
 
 def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
     """Module basis D_0..D_{p-2} with D_i(z) = z^i; rank p - 1."""
     spec = ring.spec
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
-    chain = _power_sum_chain(spec, s_imgs, t_imgs, spec.basis(1), ring.p - 2)
+    sigma, tau = _twist_pair(spec, sigma, tau)
+    chain = _power_sum_chain(spec, sigma.images, tau.images, spec.basis(1), ring.p - 2)
     maps = []
     for i in range(ring.p - 1):
         seed = spec.basis(i)
         images = [spec.zero(), seed]
         for k in range(2, ring.p - 1):
             images.append(mul(spec, chain[k - 1], seed))
-        maps.append(LinearMap(spec, images))
-    return _make_space(ring, sigma, tau, maps, generators=[1])
+        maps.append(Derivation(spec, images, sigma, tau))
+    return _make_space(ring, maps, generators=[1])
 
 
 def _exponent_of(ring: CyclotomicRing, imgs) -> int:
@@ -153,19 +143,16 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
     Rests on the determinant conjecture; det(A) outside {p, -p} raises
     ConjectureViolationError instead of answering.
     """
-    spec = ring.spec
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
-    d_imgs = _images_of(D, spec)
-    _require_derivation(spec, d_imgs, s_imgs, t_imgs)
-    u = _exponent_of(ring, s_imgs)
-    w = _exponent_of(ring, t_imgs)
+    der = _as_derivation(ring.spec, sigma, tau, D)
+    u = _exponent_of(ring, der.sigma.images)
+    w = _exponent_of(ring, der.tau.images)
     adj, det = _adjugate_det_A(ring.p, w, u)
     if abs(det) != ring.p:
         raise ConjectureViolationError(
             f"det of the innerness matrix for p={ring.p}, sigma exponent {u}, "
             f"tau exponent {w} is {det}, expected +-{ring.p}"
         )
-    c = d_imgs[1]
+    c = der.images[1]
     y = [sum(r * v for r, v in zip(row, c)) for row in adj]
     for idx, v in enumerate(y):
         if v % det:
@@ -174,6 +161,7 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
                 f"{ring.p} does not divide entry {idx} of adj(A) D(z) = {v}",
             )
     witness = tuple(v // det for v in y)
+    _assert_witness(der, witness)
     return InnernessVerdict(True, witness, None)
 
 
@@ -202,15 +190,12 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
     when (sigma, tau) = (id, conj) rather than (conj, id).
     """
     spec = ring.spec
-    sigma = _as_endo(spec, sigma)
-    tau = _as_endo(spec, tau)
-    ident, conj = endomorphisms(ring)
-    if {sigma.images, tau.images} != {ident.images, conj.images}:
+    names = [_endomorphism_name_of(ring, _images_of(m, spec)) for m in (sigma, tau)]
+    if set(names) != {"id", "conj"}:
         raise ValueError("sigma and tau must be the identity and the conjugation")
-    d_imgs = _images_of(D, spec)
-    _require_derivation(spec, d_imgs, sigma.images, tau.images)
-    c0, c1 = d_imgs[1]
-    eps = 1 if tau.images == ident.images else -1
+    der = _as_derivation(spec, sigma, tau, D)
+    c0, c1 = der.images[1]
+    eps = 1 if names[1] == "id" else -1
     d = ring.d
     if ring.one_mod4:
         t1 = -c0 + c1 * ((d - 1) // 2)
@@ -226,7 +211,7 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
         if c1 % 2:
             return InnernessVerdict(False, None, f"2 does not divide c1 = {c1}")
         beta = (eps * (c1 // 2), eps * (c0 // (2 * d)))
-    _assert_witness(spec, sigma.images, tau.images, d_imgs, beta)
+    _assert_witness(der, beta)
     return InnernessVerdict(True, beta, None)
 
 
@@ -240,11 +225,10 @@ _CASE_TABLE = {
 
 
 def _phi_index(ring: BiquadraticRing, endo) -> int:
-    endo = _as_endo(ring.spec, endo)
-    for t, e in enumerate(endomorphisms(ring), start=1):
-        if e.images == endo.images:
-            return t
-    raise ValueError("not one of the four biquadratic endomorphisms")
+    name = _endomorphism_name_of(ring, _images_of(endo, ring.spec))
+    if name is None:
+        raise ValueError("not one of the four biquadratic endomorphisms")
+    return _endomorphism_names(ring).index(name) + 1
 
 
 def classify_biquadratic(ring: BiquadraticRing, sigma, tau) -> tuple[str, int]:
@@ -258,16 +242,13 @@ def classify_biquadratic(ring: BiquadraticRing, sigma, tau) -> tuple[str, int]:
     return _CASE_TABLE[(i, j)]
 
 
-def _case3_maps(ring: BiquadraticRing, sgn: int) -> list[LinearMap]:
-    spec = ring.spec
+def _case3_images(ring: BiquadraticRing, sgn: int) -> list[list[Coords]]:
+    zero = ring.spec.zero()
     _, r, s = ring.gcd_split
     m, n = ring.m, ring.n
     dm = [(m, 0, 0, 0), (0, 1, 0, 0), (0, 0, r, 0), (0, 0, 0, 1)]
     dn = [(0, 0, 0, 1), (0, 0, 1, 0), (0, s, 0, 0), (n, 0, 0, 0)]
-    return [
-        LinearMap(spec, [spec.zero(), spec.element(a), smul(sgn, b), spec.zero()])
-        for a, b in zip(dm, dn)
-    ]
+    return [[zero, a, smul(sgn, b), zero] for a, b in zip(dm, dn)]
 
 
 def _case3_coefficients(ring: BiquadraticRing, dm: Coords):
@@ -279,7 +260,7 @@ def _case3_coefficients(ring: BiquadraticRing, dm: Coords):
     return (c0 // ring.m, c1, c2 // r, c3)
 
 
-def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images) -> LinearMap:
+def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images) -> Derivation:
     """Derivation from the free data of the pair's case.
 
     Case I takes D(sqrt(n)) (one coordinate vector), case II takes
@@ -293,56 +274,60 @@ def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images)
     case, sgn = classify_biquadratic(ring, sigma, tau)
     if case == "I":
         c = spec.element(free_images)
-        return LinearMap(spec, [spec.zero(), spec.zero(), c, smul(sgn, mul(spec, spec.basis(1), c))])
+        images = [spec.zero(), spec.zero(), c, smul(sgn, mul(spec, spec.basis(1), c))]
+        return Derivation(spec, images, sigma, tau)
     if case == "II":
         c = spec.element(free_images)
-        return LinearMap(spec, [spec.zero(), c, spec.zero(), smul(sgn, mul(spec, spec.basis(2), c))])
-    maps = _case3_maps(ring, sgn)
+        images = [spec.zero(), c, spec.zero(), smul(sgn, mul(spec, spec.basis(2), c))]
+        return Derivation(spec, images, sigma, tau)
+    basis = _case3_images(ring, sgn)
     fi = list(free_images)
     if len(fi) == 2 and all(isinstance(v, (list, tuple)) for v in fi):
         dm = spec.element(fi[0])
         dn = spec.element(fi[1])
         coeffs = _case3_coefficients(ring, dm)
         if coeffs is not None:
-            built = _combine(spec, maps, coeffs)
-            if built.images[1] == dm and built.images[2] == dn:
-                return built
+            images = _combine(spec, basis, coeffs)
+            if images[1] == dm and images[2] == dn:
+                return Derivation(spec, images, sigma, tau)
         raise ValueError(
             "case III images must satisfy sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m))"
         )
     if len(fi) == 4:
-        return _combine(spec, maps, [int(v) for v in fi])
+        return Derivation(spec, _combine(spec, basis, [int(v) for v in fi]), sigma, tau)
     raise ValueError("case III expects four coefficients or a (D(sqrt(m)), D(sqrt(n))) pair")
 
 
-def _combine(spec: AlgebraSpec, maps, coeffs) -> LinearMap:
+def _combine(spec: AlgebraSpec, basis, coeffs) -> list[Coords]:
     images = []
     for r in range(spec.rank):
         acc = spec.zero()
-        for t, mp in zip(coeffs, maps):
+        for t, imgs in zip(coeffs, basis):
             if t:
-                acc = add(acc, smul(t, mp.images[r]))
+                acc = add(acc, smul(t, imgs[r]))
         images.append(acc)
-    return LinearMap(spec, images)
+    return images
 
 
 def biquadratic_basis(ring: BiquadraticRing, sigma, tau) -> DerivationSpace:
     """Module basis of four maps per the pair's case; rank 4."""
     spec = ring.spec
+    sigma, tau = _twist_pair(spec, sigma, tau)
     case, sgn = classify_biquadratic(ring, sigma, tau)
     if case == "I":
-        maps = [
-            LinearMap(spec, [spec.zero(), spec.zero(), e, smul(sgn, mul(spec, spec.basis(1), e))])
+        basis = [
+            [spec.zero(), spec.zero(), e, smul(sgn, mul(spec, spec.basis(1), e))]
             for e in (spec.basis(i) for i in range(4))
         ]
     elif case == "II":
-        maps = [
-            LinearMap(spec, [spec.zero(), e, spec.zero(), smul(sgn, mul(spec, spec.basis(2), e))])
+        basis = [
+            [spec.zero(), e, spec.zero(), smul(sgn, mul(spec, spec.basis(2), e))]
             for e in (spec.basis(i) for i in range(4))
         ]
     else:
-        maps = _case3_maps(ring, sgn)
-    return _make_space(ring, sigma, tau, maps, generators=[1, 2])
+        basis = _case3_images(ring, sgn)
+    maps = [Derivation(spec, images, sigma, tau) for images in basis]
+    return _make_space(ring, maps, generators=[1, 2])
 
 
 def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
@@ -353,20 +338,16 @@ def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
     D(sqrt(m)) by 2 sqrt(m): 2m | c0, 2 | c1, 2m | c2, 2 | c3. The sign
     follows tau's sign on the dividing generator.
     """
-    spec = ring.spec
-    sigma = _as_endo(spec, sigma)
-    tau = _as_endo(spec, tau)
     case, _sgn = classify_biquadratic(ring, sigma, tau)
-    d_imgs = _images_of(D, spec)
-    _require_derivation(spec, d_imgs, sigma.images, tau.images)
+    der = _as_derivation(ring.spec, sigma, tau, D)
     ti = _phi_index(ring, tau)
     m, n = ring.m, ring.n
     if case == "I":
-        c0, c1, c2, c3 = d_imgs[2]
+        c0, c1, c2, c3 = der.images[2]
         checks = ((2 * n, c0, "c0"), (2 * n, c1, "c1"), (2, c2, "c2"), (2, c3, "c3"))
         eps = 1 if ti in (1, 3) else -1
     else:
-        c0, c1, c2, c3 = d_imgs[1]
+        c0, c1, c2, c3 = der.images[1]
         checks = ((2 * m, c0, "c0"), (2, c1, "c1"), (2 * m, c2, "c2"), (2, c3, "c3"))
         eps = 1 if ti in (1, 2) else -1
     for q, v, name in checks:
@@ -377,7 +358,7 @@ def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
     else:
         base = (c1 // 2, c0 // (2 * m), c3 // 2, c2 // (2 * m))
     beta = smul(eps, base)
-    _assert_witness(spec, sigma.images, tau.images, d_imgs, beta)
+    _assert_witness(der, beta)
     return InnernessVerdict(True, beta, None)
 
 
@@ -396,12 +377,9 @@ def _generic_hnf(spec: AlgebraSpec, s_imgs, t_imgs):
 def is_inner_generic(ring, sigma, tau, D) -> InnernessVerdict:
     """Exact innerness for any ring here: solve the stacked integer system
     coords(beta (tau - sigma)(e_i)) == coords(D(e_i)) over all basis elements."""
-    spec = ring.spec
-    s_imgs, t_imgs = _twist_pair(spec, sigma, tau)
-    d_imgs = _images_of(D, spec)
-    _require_derivation(spec, d_imgs, s_imgs, t_imgs)
-    stack, h, u = _generic_hnf(spec, s_imgs, t_imgs)
-    rhs = [v for img in d_imgs for v in img]
+    der = _as_derivation(ring.spec, sigma, tau, D)
+    stack, h, u = _generic_hnf(ring.spec, der.sigma.images, der.tau.images)
+    rhs = [v for img in der.images for v in img]
     x = intlinalg._solve_with_hnf(stack, h, u, rhs)
     if x is None:
         return InnernessVerdict(
@@ -414,13 +392,13 @@ def is_inner_generic(ring, sigma, tau, D) -> InnernessVerdict:
 # ------------------------------------------------------------- serialization
 
 def _endo_name(ring, endo) -> str:
-    endo = _as_endo(ring.spec, endo)
-    if endo.name:
+    images = _images_of(endo, ring.spec)
+    if isinstance(endo, Endomorphism) and endo.name:
         return endo.name
-    for e in endomorphisms(ring):
-        if e.images == endo.images:
-            return e.name or ""
-    raise ValueError("endomorphism is not in the ring's enumeration")
+    name = _endomorphism_name_of(ring, images)
+    if name is None:
+        raise ValueError("endomorphism is not in the ring's enumeration")
+    return name
 
 
 def derivation_to_json(ring, sigma, tau, D) -> dict:

@@ -126,6 +126,30 @@ def make_biquadratic(m: int, n: int) -> BiquadraticRing:
     return BiquadraticRing(m, n, spec)
 
 
+_PHI_SIGNS = {"phi1": (1, 1), "phi2": (1, -1), "phi3": (-1, 1), "phi4": (-1, -1)}
+
+
+def _endomorphism_names(ring) -> list[str]:
+    if isinstance(ring, CyclotomicRing):
+        return [str(u) for u in range(1, ring.p)]
+    if isinstance(ring, QuadraticRing):
+        return ["id", "conj"]
+    if isinstance(ring, BiquadraticRing):
+        return list(_PHI_SIGNS)
+    raise TypeError(f"unsupported ring {ring!r}")
+
+
+def _endomorphism_images(ring, name: str) -> tuple[Coords, ...]:
+    # basis images of the named map; correct by construction, not checked here
+    if isinstance(ring, CyclotomicRing):
+        return tuple(zeta_power(ring, int(name) * i) for i in range(ring.p - 1))
+    if isinstance(ring, QuadraticRing):
+        conj = ((1, 0), (1, -1)) if ring.one_mod4 else ((1, 0), (0, -1))
+        return ((1, 0), (0, 1)) if name == "id" else conj
+    sm, sn = _PHI_SIGNS[name]
+    return ((1, 0, 0, 0), (0, sm, 0, 0), (0, 0, sn, 0), (0, 0, 0, sm * sn))
+
+
 def endomorphisms(ring) -> list[Endomorphism]:
     """All unital ring endomorphisms fixing the base ring, in canonical order.
 
@@ -134,43 +158,27 @@ def endomorphisms(ring) -> list[Endomorphism]:
     Biquadratic: the four sign patterns phi1..phi4 on (sqrt(m), sqrt(n)),
     with sqrt(mn) sent to the product of the two signs times sqrt(mn).
     """
-    spec = ring.spec
-    if isinstance(ring, CyclotomicRing):
-        out = []
-        for u in range(1, ring.p):
-            images = [zeta_power(ring, u * i) for i in range(ring.p - 1)]
-            out.append(Endomorphism(spec, images, name=str(u)))
-        return out
-    if isinstance(ring, QuadraticRing):
-        ident = Endomorphism(spec, [spec.basis(0), spec.basis(1)], name="id")
-        if ring.one_mod4:
-            conj = Endomorphism(spec, [(1, 0), (1, -1)], name="conj")
-        else:
-            conj = Endomorphism(spec, [(1, 0), (0, -1)], name="conj")
-        return [ident, conj]
-    if isinstance(ring, BiquadraticRing):
-        out = []
-        for idx, (sm, sn) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)], start=1):
-            images = [
-                (1, 0, 0, 0),
-                (0, sm, 0, 0),
-                (0, 0, sn, 0),
-                (0, 0, 0, sm * sn),
-            ]
-            out.append(Endomorphism(spec, images, name=f"phi{idx}"))
-        return out
-    raise TypeError(f"unsupported ring {ring!r}")
+    return [
+        Endomorphism(ring.spec, _endomorphism_images(ring, name), name=name)
+        for name in _endomorphism_names(ring)
+    ]
 
 
 def endomorphism_by_name(ring, key) -> Endomorphism:
     """Look up an endomorphism by its canonical name (or exponent)."""
-    maps = endomorphisms(ring)
+    names = _endomorphism_names(ring)
     key = str(key)
-    for e in maps:
-        if e.name == key:
-            return e
-    names = ", ".join(e.name or "?" for e in maps)
-    raise ValueError(f"no endomorphism named {key!r}; choose from: {names}")
+    if key not in names:
+        raise ValueError(f"no endomorphism named {key!r}; choose from: {', '.join(names)}")
+    return Endomorphism(ring.spec, _endomorphism_images(ring, key), name=key)
+
+
+def _endomorphism_name_of(ring, images) -> str | None:
+    # comparing with the canonical images needs no endomorphism check
+    for name in _endomorphism_names(ring):
+        if _endomorphism_images(ring, name) == images:
+            return name
+    return None
 
 
 def ring_to_json(ring) -> dict:

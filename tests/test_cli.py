@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sigmatau
 from sigmatau.cli import run
 
 
@@ -118,6 +123,22 @@ class TestInner:
         assert doc["closed"]["witness"] == [1, 1]
         assert doc["closed"]["obstruction"] is None
 
+    def test_negative_leading_coordinate(self, capsys):
+        status, out, _ = _run(
+            capsys, "inner",
+            "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
+            "--dzeta", "-3,4,0,1",
+        )
+        assert status == 0
+        assert out.count("not inner") == 2
+        status, out, _ = _run(
+            capsys, "check",
+            "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
+            "--images", "-1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0",
+        )
+        assert status == 1
+        assert "fails at basis pair" in out
+
     def test_biquadratic_closed(self, capsys):
         status, out, _ = _run(
             capsys, "inner",
@@ -224,3 +245,13 @@ class TestUsage:
             run(["inner", "--ring", "cyclotomic:5", "--sigma", "1",
                  "--tau", "2", "--dzeta", "0,1,0,0", "--method", "guess"])
         assert exc.value.code == 2
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool is imported only when jobs > 1, so a CLI query never pays for it
+    src = Path(sigmatau.__file__).resolve().parents[1]
+    code = "import sys, sigmatau, sigmatau.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

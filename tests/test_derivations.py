@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from sigmatau import _backend, algebra, derivations
 from sigmatau.algebra import (
+    Derivation,
     LinearMap,
     is_derivation,
     mul,
@@ -589,3 +591,88 @@ class TestSerialization:
         assert data["sigma"] == "phi1"
         assert data["tau"] == "phi4"
         assert data["images"][1] == [0, 1, 0, 0]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestValidateOnce:
+    """A derivation's law is checked where it is built, and only there."""
+
+    def test_cyclotomic_build_then_both_deciders(self, monkeypatch):
+        ring = make_cyclotomic(7)
+        sigma, tau = _endo(ring, 2), _endo(ring, 5)
+        calls = _count_calls(monkeypatch, _backend, "derivation_failure")
+        d = build_cyclotomic_derivation(ring, sigma, tau, (1, -2, 0, 3, 1, 1))
+        assert isinstance(d, Derivation)
+        is_inner_generic(ring, sigma, tau, d)
+        cyclotomic_inner_conjectural(ring, sigma, tau, d)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("pair, free", [
+        (("phi1", "phi2"), (1, 0, 2, 0)),
+        (("phi2", "phi4"), (4, 2, 0, 0)),
+        (("phi1", "phi4"), (0, 1, 0, 0)),
+    ])
+    def test_biquadratic_build_then_both_deciders(self, monkeypatch, pair, free):
+        ring = make_biquadratic(2, 3)
+        sigma, tau = (_endo(ring, name) for name in pair)
+        calls = _count_calls(monkeypatch, _backend, "derivation_failure")
+        d = build_biquadratic_derivation(ring, sigma, tau, free)
+        is_inner_generic(ring, sigma, tau, d)
+        biquadratic_inner(ring, sigma, tau, d)
+        assert len(calls) == 1
+
+    def test_classify_checks_no_endomorphism(self, monkeypatch):
+        ring = make_biquadratic(2, 3)
+        sigma, tau = _endo(ring, "phi2"), _endo(ring, "phi4")
+        calls = _count_calls(monkeypatch, algebra, "endomorphism_failure")
+        assert classify_biquadratic(ring, sigma, tau) == ("II", -1)
+        assert calls == []
+
+    def test_raw_twist_images_are_checked(self):
+        ring = make_cyclotomic(5)
+        doubling = [smul(2, ring.spec.basis(i)) for i in range(4)]
+        zero = [ring.spec.zero()] * 4
+        with pytest.raises(ValueError, match="not an endomorphism"):
+            Derivation(ring.spec, zero, doubling, _endo(ring, 2))
+        d = Derivation(ring.spec, zero, _endo(ring, 1).images, _endo(ring, 2).images)
+        assert d.sigma == _endo(ring, 1) and d.tau == _endo(ring, 2)
+
+    @pytest.mark.parametrize("family", ["cyclotomic", "quadratic", "biquadratic"])
+    def test_raw_linear_map_is_checked_by_every_decider(self, family):
+        ring, names, closed = {
+            "cyclotomic": (make_cyclotomic(5), (1, 2), cyclotomic_inner_conjectural),
+            "quadratic": (make_quadratic(2), ("id", "conj"), quadratic_inner),
+            "biquadratic": (make_biquadratic(2, 3), ("phi1", "phi2"), biquadratic_inner),
+        }[family]
+        sigma, tau = (_endo(ring, name) for name in names)
+        bad = LinearMap(ring.spec, [ring.spec.basis(i) for i in range(ring.spec.rank)])
+        for decide in (is_inner_generic, closed):
+            with pytest.raises(ValueError, match="not a derivation"):
+                decide(ring, sigma, tau, bad)
+
+    def test_derivation_for_another_pair_is_rechecked(self):
+        ring = make_cyclotomic(5)
+        d = build_cyclotomic_derivation(ring, _endo(ring, 1), _endo(ring, 2), (0, 1, 0, 0))
+        with pytest.raises(ValueError, match="not a derivation"):
+            is_inner_generic(ring, _endo(ring, 1), _endo(ring, 3), d)
+
+    def test_conjectural_witness_is_verified(self, monkeypatch):
+        # an adjugate whose products all divide but whose quotient is not beta
+        ring = make_cyclotomic(5)
+        sigma, tau = _endo(ring, 1), _endo(ring, 2)
+        d = inner_derivation(ring.spec, sigma, tau, (1, 0, 0, 0))
+        scaled_identity = tuple(tuple(5 if i == j else 0 for j in range(4)) for i in range(4))
+        monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: (scaled_identity, 5))
+        with pytest.raises(AssertionError, match="witness"):
+            cyclotomic_inner_conjectural(ring, sigma, tau, d)

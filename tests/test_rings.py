@@ -1,5 +1,6 @@
 import pytest
 
+from sigmatau import algebra
 from sigmatau.algebra import apply_map, associativity_failure, mul
 from sigmatau.rings import (
     BiquadraticRing,
@@ -194,3 +195,27 @@ def test_ring_types_exported():
     assert isinstance(make_cyclotomic(5), CyclotomicRing)
     assert isinstance(make_quadratic(5), QuadraticRing)
     assert isinstance(make_biquadratic(2, 3), BiquadraticRing)
+
+
+class TestLookupChecksOneMap:
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_by_name_checks_only_the_named_map(self, monkeypatch, p):
+        ring = make_cyclotomic(p)
+        calls = []
+        real = algebra.endomorphism_failure
+
+        def counted(spec, m):
+            calls.append(m)
+            return real(spec, m)
+
+        monkeypatch.setattr(algebra, "endomorphism_failure", counted)
+        e = endomorphism_by_name(ring, 3)
+        assert len(calls) == 1
+        assert e.images[1] == zeta_power(ring, 3)
+        assert len(endomorphisms(ring)) == p - 1
+        assert len(calls) == p
+
+    def test_lookup_matches_enumeration(self):
+        for ring in (make_cyclotomic(7), make_quadratic(5), make_quadratic(-2), make_biquadratic(2, 3)):
+            for e in endomorphisms(ring):
+                assert endomorphism_by_name(ring, e.name) == e
