@@ -169,6 +169,10 @@ class Derivation(LinearMap):
         if bad is not None:
             raise ValueError(f"D is not a derivation for this pair (law fails at basis pair {bad})")
 
+    def checked_for(self, spec: AlgebraSpec, sigma, tau) -> bool:
+        """True when the law was checked at construction for this spec and pair."""
+        return self.spec == spec and (self.sigma, self.tau) == (sigma, tau)
+
 
 def _images_of(m, spec: AlgebraSpec) -> tuple[Coords, ...]:
     if isinstance(m, LinearMap):
@@ -249,10 +253,13 @@ def derivation_failure(spec: AlgebraSpec, d, sigma, tau) -> tuple[int, int] | No
     """First basis pair (i, j) with D(ei*ej) != D(ei)tau(ej) + sigma(ei)D(ej).
 
     Scans in row-major order; None means D is a (sigma, tau)-derivation.
-    sigma and tau must be distinct endomorphisms.
+    sigma and tau must be distinct endomorphisms. A Derivation built for
+    this spec and pair was checked when it was built and is not scanned again.
     """
     d_imgs = _images_of(d, spec)
     sigma, tau = _twist_pair(spec, sigma, tau)
+    if isinstance(d, Derivation) and d.checked_for(spec, sigma, tau):
+        return None
     return _backend.derivation_failure(spec.table, d_imgs, sigma.images, tau.images)
 
 

@@ -61,7 +61,7 @@ class DerivationSpace:
 def _as_derivation(spec: AlgebraSpec, sigma, tau, D) -> Derivation:
     """D as a (sigma, tau)-Derivation. One already built for this pair is
     taken as it is; anything else is checked here, once."""
-    if isinstance(D, Derivation) and D.spec == spec and (D.sigma, D.tau) == (sigma, tau):
+    if isinstance(D, Derivation) and D.checked_for(spec, sigma, tau):
         return D
     return Derivation(spec, _images_of(D, spec), sigma, tau)
 

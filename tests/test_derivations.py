@@ -6,6 +6,7 @@ from sigmatau import _backend, algebra, derivations
 from sigmatau.algebra import (
     Derivation,
     LinearMap,
+    derivation_failure,
     is_derivation,
     mul,
     sigma_tau_power_sum,
@@ -631,6 +632,18 @@ class TestValidateOnce:
         is_inner_generic(ring, sigma, tau, d)
         biquadratic_inner(ring, sigma, tau, d)
         assert len(calls) == 1
+
+    def test_public_law_check_scans_only_other_pairs(self, monkeypatch):
+        ring = make_cyclotomic(7)
+        sigma, tau = _endo(ring, 2), _endo(ring, 5)
+        d = build_cyclotomic_derivation(ring, sigma, tau, (1, -2, 0, 3, 1, 1))
+        calls = _count_calls(monkeypatch, _backend, "derivation_failure")
+        assert derivation_failure(ring.spec, d, sigma, tau) is None
+        assert calls == []
+        raw = LinearMap(ring.spec, d.images)
+        assert derivation_failure(ring.spec, raw, sigma.images, tau.images) is None
+        assert derivation_failure(ring.spec, d, sigma, _endo(ring, 3)) is not None
+        assert len(calls) == 2
 
     def test_classify_checks_no_endomorphism(self, monkeypatch):
         ring = make_biquadratic(2, 3)
