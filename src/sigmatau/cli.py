@@ -218,7 +218,8 @@ def _report_row(r) -> list[str]:
 
 
 def _reproduce_32(out) -> bool:
-    """p=5 fixture: the matrix, its determinant, and the non-inner verdict."""
+    """p=5 fixture: the matrix, its determinant, and the non-inner verdict
+    of the generic solver and the paper's adjugate route."""
     fix = json.loads(codes._fixture_text("paper_p5_matrix.json"))
     a = conjecture.build_A(fix["p"], fix["u"], fix["w"])
     from .intlinalg import det_bareiss
@@ -234,7 +235,7 @@ def _reproduce_32(out) -> bool:
     tau = rings.endomorphism_by_name(ring, 2)
     d = derivations.build_cyclotomic_derivation(ring, sigma, tau, (0, 1, 0, 0))
     v1 = derivations.is_inner_generic(ring, sigma, tau, d)
-    v2 = derivations.cyclotomic_inner_conjectural(ring, sigma, tau, d)
+    v2 = derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
     ok_inner = (not v1.inner) and (not v2.inner)
     print(f"D(z)=z at p=5 not inner by both deciders: "
           f"{'PASS' if ok_inner else 'FAIL'}", file=out)

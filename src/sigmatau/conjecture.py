@@ -2,7 +2,9 @@
 
 For an odd prime p and distinct exponents u, w in 1..p-1, A(p, u, w) is the
 matrix of multiplication by z^u - z^w on the power basis {1, z, ..., z^(p-2)}.
-The conjecture under test: det A(p, u, w) == p for every such case. A sweep
+The paper conjectured det A(p, u, w) == p for every such case; it holds,
+since det A is the norm of z^u - z^w, an associate of 1 - z, whose norm is
+Phi_p(1) = p. The sweep remains the paper's numerical check. A sweep
 evaluates every ordered pair for every prime in a range and reports failures
 (det not in {p, -p}) separately from sign mismatches (det == -p), which have
 never been observed but are tracked as their own outcome.
@@ -17,7 +19,12 @@ from .intlinalg import det_bareiss, is_prime
 
 
 class ConjectureViolationError(RuntimeError):
-    """det A(p, u, w) is not +-p, so the closed-form innerness test is void."""
+    """det A(p, u, w) is not +-p, so the adjugate innerness route cannot answer.
+
+    Only that route (derivations._cyclotomic_inner_adjugate, used by
+    reproduce-paper and as a test oracle) raises it: det A = p is a theorem,
+    and the innerness decider on the hot path does not depend on it.
+    """
 
 
 @dataclass(frozen=True, slots=True)

@@ -129,6 +129,59 @@ def _exponent_of(ring: CyclotomicRing, imgs) -> int:
     raise ValueError("sigma and tau must send z to a power of z")
 
 
+def _reindex(p: int, c, a: int, e: int) -> Coords:
+    # coordinates of sum_i c_i z^(a (i + e)) on the power basis
+    out = [0] * p
+    for i, v in enumerate(c):
+        out[a * (i + e) % p] += v
+    top = out[p - 1]
+    return tuple(v - top for v in out[:-1])
+
+
+def _cyclotomic_quotient(p: int, u: int, w: int, c: Coords) -> Coords:
+    """beta with c = beta (z^w - z^u), for c whose coordinate sum p divides.
+
+    z^w - z^u = z^u (z^k - 1) with k = w - u, so: multiply c by z^-u and
+    apply z -> z^(1/k), which leaves g(beta) (z - 1); divide by z - 1; map
+    back with z -> z^k. Each step is one pass over the coordinates.
+    """
+    k = (w - u) % p
+    x = _reindex(p, c, pow(k, -1, p), -u)
+    # synthetic division: x = (z - 1) q + x(1), with x(1) = p m, and
+    # p = -(z - 1) sum_{j <= p-2} (p - 1 - j) z^j
+    q = [0] * (p - 1)
+    for j in range(p - 3, -1, -1):
+        q[j] = q[j + 1] + x[j + 1]
+    m = (q[0] + x[0]) // p
+    return _reindex(p, [v - m * (p - 1 - j) for j, v in enumerate(q)], k, 0)
+
+
+def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
+    """Innerness over Z[z] by the proven criterion: D is inner iff
+    tau(z) - sigma(z) divides D(z), iff 1 - z does, iff p divides the
+    coordinate sum of D(z).
+
+    z^w - z^u is an associate of 1 - z, whose norm is Phi_p(1) = p
+    (Washington, Introduction to Cyclotomic Fields, Lemma 1.4 and
+    Prop. 2.8); the witness is the exact quotient, found in O(p). The name
+    is kept from the paper, which conjectured this test.
+    """
+    der = _as_derivation(ring.spec, sigma, tau, D)
+    p = ring.p
+    c = der.images[1]
+    s = sum(c)
+    if s % p:
+        return InnernessVerdict(
+            False, None,
+            f"{p} does not divide the coordinate sum {s} of D(z), so 1 - z does not divide D(z)",
+        )
+    u = _exponent_of(ring, der.sigma.images)
+    w = _exponent_of(ring, der.tau.images)
+    witness = _cyclotomic_quotient(p, u, w, c)
+    _assert_witness(der, witness)
+    return InnernessVerdict(True, witness, None)
+
+
 @lru_cache(maxsize=1024)
 def _adjugate_det_A(p: int, u: int, w: int):
     a = build_A(p, u, w)
@@ -136,12 +189,11 @@ def _adjugate_det_A(p: int, u: int, w: int):
     return adj, intlinalg.det_bareiss(a)
 
 
-def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
-    """Innerness through the adjugate of the multiplication-by-(tau-sigma)(z)
-    matrix: inner iff det(A) divides every entry of adj(A) D(z).
-
-    Rests on the determinant conjecture; det(A) outside {p, -p} raises
-    ConjectureViolationError instead of answering.
+def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
+    """The paper's route, kept for reproduce-paper and as a test oracle:
+    inner iff det(A) divides every entry of adj(A) D(z), with A the
+    multiplication-by-(tau - sigma)(z) matrix. Builds n^2 cofactors, so
+    O(p^5); det(A) outside {p, -p} raises ConjectureViolationError.
     """
     der = _as_derivation(ring.spec, sigma, tau, D)
     u = _exponent_of(ring, der.sigma.images)

@@ -216,24 +216,6 @@ def _solve_with_hnf(a, h, u, c) -> tuple[int, ...] | None:
     return x
 
 
-def solve_via_adjugate(a, c) -> tuple[int, ...] | None:
-    """Unique integer solution of a nonsingular square system, or None.
-
-    Independent route from solve_integer: x = adj(A) c / det(A), which is
-    integral exactly when det(A) divides every entry of adj(A) c.
-    """
-    m, n = _dims(a)
-    if m != n:
-        raise ValueError("square system required")
-    d = det_bareiss(a)
-    if d == 0:
-        raise ValueError("adjugate solve needs det != 0")
-    y = mat_vec(adjugate(a), c)
-    if any(v % d for v in y):
-        return None
-    return tuple(v // d for v in y)
-
-
 def rref_mod_q(rows, q: int) -> tuple[IntMatrix, int, list[int]]:
     """Reduced row echelon form mod prime q: (R, rank, pivot columns)."""
     _require_prime(q)

@@ -25,6 +25,28 @@ def det_cofactor(a):
     return total
 
 
+def solve_via_adjugate(a, c):
+    """Unique integer solution of a nonsingular square system, or None.
+
+    x = adj(A) c / det(A), with every determinant by cofactor expansion; x is
+    integral exactly when det(A) divides every entry of adj(A) c.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("square system required")
+    d = det_cofactor(a)
+    if d == 0:
+        raise ValueError("adjugate solve needs det != 0")
+    # entry i of adj(A) c is det(A with column i replaced by c)
+    y = [
+        det_cofactor([[c[r] if col == i else a[r][col] for col in range(n)] for r in range(n)])
+        for i in range(n)
+    ]
+    if any(v % d for v in y):
+        return None
+    return tuple(v // d for v in y)
+
+
 def rank_fraction(rows):
     m = [[Fraction(v) for v in row] for row in rows]
     rank = 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigmatau import _backend, algebra, derivations
+from sigmatau import _backend, algebra, conjecture, derivations, intlinalg
 from sigmatau.algebra import (
     Derivation,
     LinearMap,
@@ -539,6 +539,58 @@ class TestConjecturalMatchesGeneric:
                     assert conj.witness == gen.witness
 
 
+class TestProvenCyclotomicTest:
+    """The (1 - z) | D(z) test against the generic solver and the paper's
+    adjugate route, and the work it does not do."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_ordered_pair_matches_both_oracles(self, p):
+        rng = random.Random(p)
+        ring = make_cyclotomic(p)
+        endos = endomorphisms(ring)
+        for sigma in endos:
+            for tau in endos:
+                if sigma == tau:
+                    continue
+                planted = _random_coords(rng, p - 1)
+                free = _random_coords(rng, p - 1)
+                for d, beta in ((inner_derivation(ring.spec, sigma, tau, planted), planted),
+                                (build_cyclotomic_derivation(ring, sigma, tau, free), None)):
+                    proven = cyclotomic_inner_conjectural(ring, sigma, tau, d)
+                    generic = is_inner_generic(ring, sigma, tau, d)
+                    adjugate = derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
+                    assert proven.inner == generic.inner == adjugate.inner
+                    assert proven.witness == generic.witness == adjugate.witness
+                    if beta is not None:
+                        assert proven.witness == beta
+
+    def test_no_adjugate_or_determinant_at_p31(self, monkeypatch):
+        rng = random.Random(31)
+        ring = make_cyclotomic(31)
+        sigma, tau = _endo(ring, 3), _endo(ring, 17)
+        beta = _random_coords(rng, 30)
+        inner = inner_derivation(ring.spec, sigma, tau, beta)
+        outer = build_cyclotomic_derivation(ring, sigma, tau, (1,) + (0,) * 29)
+        derivations._adjugate_det_A.cache_clear()
+        calls = []
+        for module, name in ((intlinalg, "adjugate"), (conjecture, "build_A"),
+                             (derivations, "build_A"), (_backend, "det_int")):
+            calls.append(_count_calls(monkeypatch, module, name))
+        assert cyclotomic_inner_conjectural(ring, sigma, tau, inner).witness == beta
+        assert not cyclotomic_inner_conjectural(ring, sigma, tau, outer).inner
+        assert [len(c) for c in calls] == [0, 0, 0, 0]
+
+    def test_obstruction_names_the_coordinate_sum(self):
+        ring = make_cyclotomic(7)
+        sigma, tau = _endo(ring, 2), _endo(ring, 5)
+        d = build_cyclotomic_derivation(ring, sigma, tau, (3, -1, 0, 4, 0, 2))
+        v = cyclotomic_inner_conjectural(ring, sigma, tau, d)
+        assert not v.inner and v.witness is None
+        assert v.obstruction == (
+            "7 does not divide the coordinate sum 8 of D(z), so 1 - z does not divide D(z)"
+        )
+
+
 class TestWitnessPowerScaling:
     def test_witness_transfers_to_powers(self):
         # if D(a) = beta (tau - sigma)(a) for all a then the same witness
@@ -687,5 +739,13 @@ class TestValidateOnce:
         d = inner_derivation(ring.spec, sigma, tau, (1, 0, 0, 0))
         scaled_identity = tuple(tuple(5 if i == j else 0 for j in range(4)) for i in range(4))
         monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: (scaled_identity, 5))
+        with pytest.raises(AssertionError, match="witness"):
+            derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
+
+    def test_quotient_witness_is_verified(self, monkeypatch):
+        ring = make_cyclotomic(5)
+        sigma, tau = _endo(ring, 1), _endo(ring, 2)
+        d = inner_derivation(ring.spec, sigma, tau, (1, 0, 0, 0))
+        monkeypatch.setattr(derivations, "_cyclotomic_quotient", lambda p, u, w, c: (2, 0, 0, 0))
         with pytest.raises(AssertionError, match="witness"):
             cyclotomic_inner_conjectural(ring, sigma, tau, d)

@@ -14,11 +14,10 @@ from sigmatau.intlinalg import (
     rank_int,
     rref_mod_q,
     solve_integer,
-    solve_via_adjugate,
     transpose,
 )
 
-from .oracles import det_cofactor, rank_fraction
+from .oracles import det_cofactor, rank_fraction, solve_via_adjugate
 
 PAPER_A = [[0, 0, 1, -2], [1, 0, 1, -1], [-1, 1, 1, -1], [0, -1, 2, -1]]
 
