@@ -416,10 +416,15 @@ def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
 
 # -------------------------------------------------------------- generic path
 
+def _generators(spec: AlgebraSpec) -> range:
+    # x alone generates a power-basis spec; otherwise use every basis element
+    return range(1, 2) if spec.power_basis else range(spec.rank)
+
+
 @lru_cache(maxsize=512)
 def _generic_hnf(spec: AlgebraSpec, s_imgs, t_imgs):
     stack = []
-    for i in range(spec.rank):
+    for i in _generators(spec):
         g = sub(t_imgs[i], s_imgs[i])
         stack.extend(mult_matrix(spec, g))
     h, u = intlinalg.hermite_normal_form(intlinalg.transpose(stack))
@@ -427,11 +432,18 @@ def _generic_hnf(spec: AlgebraSpec, s_imgs, t_imgs):
 
 
 def is_inner_generic(ring, sigma, tau, D) -> InnernessVerdict:
-    """Exact innerness for any ring here: solve the stacked integer system
-    coords(beta (tau - sigma)(e_i)) == coords(D(e_i)) over all basis elements."""
+    """Exact innerness for any ring here: solve the integer system
+    coords(beta (tau - sigma)(e_i)) == coords(D(e_i)) on generators e_i.
+
+    On a power_basis spec the only generator is x = e_1, an n x n system.
+    That is exact because D is a checked Derivation, x -> beta (tau -
+    sigma)(x) is another, and two (sigma, tau)-derivations that agree on 1
+    and x agree on every x^k. Other specs stack the system over the whole
+    basis, n^2 x n.
+    """
     der = _as_derivation(ring.spec, sigma, tau, D)
     stack, h, u = _generic_hnf(ring.spec, der.sigma.images, der.tau.images)
-    rhs = [v for img in der.images for v in img]
+    rhs = [v for i in _generators(ring.spec) for v in der.images[i]]
     x = intlinalg._solve_with_hnf(stack, h, u, rhs)
     if x is None:
         return InnernessVerdict(

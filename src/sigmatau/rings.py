@@ -157,6 +157,9 @@ def endomorphisms(ring) -> list[Endomorphism]:
     Quadratic: identity and conjugation, named "id" and "conj".
     Biquadratic: the four sign patterns phi1..phi4 on (sqrt(m), sqrt(n)),
     with sqrt(mn) sent to the product of the two signs times sqrt(mn).
+
+    Each map is checked as it is built. Cyclotomic and quadratic specs have
+    a power basis, so that check multiplies n basis pairs, not n(n+1)/2.
     """
     return [
         Endomorphism(ring.spec, _endomorphism_images(ring, name), name=name)

@@ -132,3 +132,51 @@ def derivation_law_holds(table, d_images, s_images, t_images, pairs):
 
 def basis_elements(n):
     return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+
+
+def stacked_inner_witness(table, d_images, s_images, t_images):
+    """beta with D(e_i) = beta (tau(e_i) - sigma(e_i)) on every basis element,
+    or None when no integral beta exists.
+
+    Stacks the n^2 x n system over the whole basis and solves it over Q by
+    Fraction Gauss-Jordan. The system must have full column rank, as it has
+    over a domain with sigma != tau; the rational solution is then unique and
+    the answer is whether it is integral and solves every row.
+    """
+    n = len(table)
+    units = basis_elements(n)
+    rows = []
+    for s, t, d in zip(s_images, t_images, d_images):
+        g = tuple(a - b for a, b in zip(t, s))
+        cols = [ring_multiply(table, g, e) for e in units]
+        rows.extend([cols[j][r] for j in range(n)] + [d[r]] for r in range(n))
+    pivots = {}
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for col, prow in pivots.items():
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, prow)]
+        col = next((c for c in range(n) if v[c]), None)
+        if col is None:
+            if v[n]:
+                return None  # inconsistent over Q
+            continue
+        inv = 1 / v[col]
+        v = [a * inv for a in v]
+        for c, prow in list(pivots.items()):
+            if prow[col]:
+                f = prow[col]
+                pivots[c] = [a - f * b for a, b in zip(prow, v)]
+        pivots[col] = v
+        if len(pivots) == n:
+            break
+    if len(pivots) < n:
+        raise ValueError("stacked system does not have full column rank")
+    beta = [pivots[c][n] for c in range(n)]
+    if any(b.denominator != 1 for b in beta):
+        return None
+    beta = tuple(int(b) for b in beta)
+    if any(sum(r * b for r, b in zip(row, beta)) != row[n] for row in rows):
+        return None
+    return beta

@@ -85,7 +85,7 @@ def test_criterion_1_reference_matrix():
 
 def test_criterion_2_reference_non_inner():
     """D(z) = z with sigma = id, tau: z -> z^2 at p=5 is not inner, per
-    both the generic solver and the adjugate route."""
+    both the generic solver and the coordinate-sum test."""
     ring = make_cyclotomic(5)
     sigma = endomorphism_by_name(ring, 1)
     tau = endomorphism_by_name(ring, 2)
@@ -184,7 +184,7 @@ def test_criterion_6_counterexamples_fail_the_law():
 
 def test_criterion_7_oracle_equivalence():
     """Closed-form deciders match the generic solver on 200 random
-    derivations per ring family; the adjugate route matches it for
+    derivations per ring family; the coordinate-sum test matches it for
     p <= 13 on 50 random seeds per pair, witnesses included."""
     rng = random.Random(107)
     start = time.perf_counter()

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from sigmatau import algebra
 from sigmatau.algebra import (
     AlgebraSpec,
     Endomorphism,
@@ -31,7 +33,7 @@ from sigmatau.rings import (
 )
 
 from .counterexamples import ALL_COUNTEREXAMPLES
-from .oracles import basis_elements, derivation_law_holds, ring_multiply
+from .oracles import apply_linear, basis_elements, derivation_law_holds, ring_multiply
 
 Z5 = make_cyclotomic(5)
 
@@ -188,6 +190,144 @@ class TestIsEndomorphism:
             Endomorphism(
                 Z5.spec, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, 8)]
             )
+
+
+def _power_basis_table(top):
+    """Table of Z[x]/(f) on 1, x, ..., x^(n-1), with x^n = top."""
+    n = len(top)
+    powers = [tuple(1 if r == k else 0 for r in range(n)) for k in range(n)]
+    for _ in range(n - 1):
+        v = powers[-1]
+        powers.append(add((0,) + v[:-1], smul(v[-1], top)))
+    return [[powers[i + j] for j in range(n)] for i in range(n)]
+
+
+def _swapped(spec, a, b):
+    """spec with basis elements a and b exchanged."""
+    perm = list(range(spec.rank))
+    perm[a], perm[b] = b, a
+
+    def move(v):
+        return tuple(v[perm[r]] for r in range(spec.rank))
+
+    n = spec.rank
+    table = [[move(spec.table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
+    return AlgebraSpec(table, move(spec.unity))
+
+
+# commutative and unital, basis 1, x, y with x*x = y, x*y = 0, y*y = 1:
+# (x*x)*y = 1 but x*(x*y) = 0
+NON_ASSOCIATIVE = AlgebraSpec(
+    [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(0, 1, 0), (0, 0, 1), (0, 0, 0)],
+        [(0, 0, 1), (0, 0, 0), (1, 0, 0)],
+    ],
+    (1, 0, 0),
+)
+
+
+def _full_scan(spec, imgs):
+    """Row-major endomorphism scan over every basis pair, with the oracles."""
+    if apply_linear(imgs, spec.unity) != spec.unity:
+        return ("unity",)
+    n = spec.rank
+    for i in range(n):
+        for j in range(i, n):
+            if apply_linear(imgs, spec.table[i][j]) != ring_multiply(spec.table, imgs[i], imgs[j]):
+                return (i, j)
+    return None
+
+
+def _count_mul(monkeypatch):
+    calls = []
+
+    def counted(spec, a, b):
+        calls.append(1)
+        return mul(spec, a, b)
+
+    monkeypatch.setattr(algebra, "mul", counted)
+    return calls
+
+
+class TestPowerBasisGuard:
+    @pytest.mark.parametrize("spec", [
+        *(make_cyclotomic(p).spec for p in (3, 5, 7, 13)),
+        *(make_quadratic(d).spec for d in (-3, -1, 2, 5)),
+        *(AlgebraSpec(_power_basis_table((0,) * n), (1,) + (0,) * (n - 1)) for n in (1, 2, 3, 5)),
+        AlgebraSpec(_power_basis_table((1, 1, 0)), (1, 0, 0)),
+    ])
+    def test_power_basis_specs(self, spec):
+        assert spec.power_basis
+        assert associativity_failure(spec) is None
+
+    @pytest.mark.parametrize("spec", [
+        make_biquadratic(2, 3).spec,
+        _swapped(make_cyclotomic(5).spec, 1, 2),
+        NON_ASSOCIATIVE,
+    ])
+    def test_other_specs_get_the_full_scan(self, monkeypatch, spec):
+        assert not spec.power_basis
+        ident = [spec.basis(i) for i in range(spec.rank)]
+        calls = _count_mul(monkeypatch)
+        assert endomorphism_failure(spec, ident) is None
+        assert len(calls) == spec.rank * (spec.rank + 1) // 2
+
+    def test_non_associative_table_needs_the_full_scan(self):
+        # 1 -> 1, x -> 0, y -> 0 is multiplicative on every pair (e_k, x)
+        assert associativity_failure(NON_ASSOCIATIVE) is not None
+        imgs = [(1, 0, 0), (0, 0, 0), (0, 0, 0)]
+        assert endomorphism_failure(NON_ASSOCIATIVE, imgs) == (2, 2)
+        assert _full_scan(NON_ASSOCIATIVE, imgs) == (2, 2)
+
+
+class TestEndomorphismFastPath:
+    """On a power-basis spec endomorphism_failure checks n pairs; verdict and
+    witness equal those of the full row-major scan."""
+
+    @pytest.mark.parametrize("make, arg", [
+        *((make_cyclotomic, p) for p in (3, 5, 7, 11, 13)),
+        *((make_quadratic, d) for d in (-7, -5, -3, -2, -1, 2, 3, 5, 13)),
+    ])
+    def test_canonical_maps_and_planted_faults(self, make, arg):
+        ring = make(arg)
+        spec = ring.spec
+        assert spec.power_basis
+        for phi in endomorphisms(ring):
+            imgs = phi.images
+            assert endomorphism_failure(spec, imgs) is None is _full_scan(spec, imgs)
+            for i in range(spec.rank):
+                for r in range(spec.rank):
+                    bad = [list(im) for im in imgs]
+                    bad[i][r] += 1
+                    bad = [tuple(im) for im in bad]
+                    found = endomorphism_failure(spec, bad)
+                    assert found is not None
+                    assert found == _full_scan(spec, bad)
+
+    @pytest.mark.parametrize("spec", [
+        make_quadratic(-1).spec,
+        AlgebraSpec(_power_basis_table((0, 0)), (1, 0)),
+        AlgebraSpec(_power_basis_table((0, 0, 0)), (1, 0, 0)),
+        AlgebraSpec(_power_basis_table((1, 1, 0)), (1, 0, 0)),
+    ])
+    def test_every_small_map(self, spec):
+        n = spec.rank
+        assert spec.power_basis
+        found = set()
+        for flat in itertools.product((-1, 0, 1), repeat=n * n):
+            imgs = [flat[k * n:(k + 1) * n] for k in range(n)]
+            verdict = endomorphism_failure(spec, imgs)
+            assert verdict == _full_scan(spec, imgs)
+            found.add(verdict is None)
+        assert found == {True, False}
+
+    def test_p31_checks_the_generator_pairs_only(self, monkeypatch):
+        ring = make_cyclotomic(31)
+        imgs = endomorphism_by_name(ring, 3).images
+        calls = _count_mul(monkeypatch)
+        assert endomorphism_failure(ring.spec, imgs) is None
+        assert len(calls) == 30
 
 
 class TestPowerSum:

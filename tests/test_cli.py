@@ -34,6 +34,11 @@ class TestRing:
         assert doc["basis"] == ["1", "sqrt(2)", "sqrt(3)", "sqrt(6)"]
         assert doc["endomorphisms"] == ["phi1", "phi2", "phi3", "phi4"]
 
+    def test_cyclotomic_61_lists_every_endomorphism(self, capsys):
+        status, out, _ = _run(capsys, "ring", "--ring", "cyclotomic:61", "--format", "json")
+        assert status == 0
+        assert json.loads(out)["endomorphisms"] == [str(u) for u in range(1, 61)]
+
     def test_unknown_family(self, capsys):
         status, _, err = _run(capsys, "ring", "--ring", "octic:2")
         assert status == 1

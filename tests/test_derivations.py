@@ -39,6 +39,8 @@ from sigmatau.rings import (
     zeta_power,
 )
 
+from .oracles import ring_multiply, stacked_inner_witness
+
 D_ZETA_P17 = (1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0)
 
 
@@ -459,6 +461,72 @@ class TestGenericDecider:
                 assert induced.images == d.images
 
 
+def _generic_checked_by_oracle(ring, sigma, tau, d):
+    """is_inner_generic's verdict, after checking it against the stacked
+    solve over Q and, when inner, its witness on every basis element."""
+    spec = ring.spec
+    images = d.images
+    v = is_inner_generic(ring, sigma, tau, d)
+    beta = stacked_inner_witness(spec.table, images, sigma.images, tau.images)
+    assert v.inner == (beta is not None)
+    assert v.witness == beta
+    if v.inner:
+        for s, t, img in zip(sigma.images, tau.images, images):
+            g = tuple(b - a for a, b in zip(s, t))
+            assert ring_multiply(spec.table, v.witness, g) == img
+    return v
+
+
+class TestGenericSolvesOnGenerator:
+    """On a power-basis spec the generic decider solves on x = e_1 only;
+    verdicts and witnesses match the stacked n^2 x n solve over Q. Every
+    ordered cyclotomic pair at p <= 13 is covered in TestProvenCyclotomicTest."""
+
+    def test_every_quadratic_ring(self):
+        for d_val in QUADRATIC_DS:
+            ring = make_quadratic(d_val)
+            rng = random.Random(8000 + d_val)
+            ident, conj = endomorphisms(ring)
+            for sigma, tau in ((ident, conj), (conj, ident)):
+                planted = inner_derivation(ring.spec, sigma, tau, _random_coords(rng, 2))
+                assert _generic_checked_by_oracle(ring, sigma, tau, planted).inner
+                d = build_quadratic_derivation(ring, ((0, 0), _random_coords(rng, 2)))
+                _generic_checked_by_oracle(ring, sigma, tau, d)
+
+    def test_every_biquadratic_ring(self):
+        for m, n in BIQUADRATIC_PAIRS:
+            ring = make_biquadratic(m, n)
+            rng = random.Random(9000 + 100 * m + n)
+            endos = endomorphisms(ring)
+            for sigma in endos:
+                for tau in endos:
+                    if sigma is tau:
+                        continue
+                    planted = inner_derivation(ring.spec, sigma, tau, _random_coords(rng, 4))
+                    assert _generic_checked_by_oracle(ring, sigma, tau, planted).inner
+                    case, _ = classify_biquadratic(ring, sigma, tau)
+                    free = (
+                        _random_coords(rng, 4)
+                        if case != "III"
+                        else tuple(rng.randint(-9, 9) for _ in range(4))
+                    )
+                    d = build_biquadratic_derivation(ring, sigma, tau, free)
+                    _generic_checked_by_oracle(ring, sigma, tau, d)
+
+    @pytest.mark.parametrize("ring, rows", [
+        (make_cyclotomic(5), 4),
+        (make_cyclotomic(13), 12),
+        (make_quadratic(-1), 2),
+        (make_quadratic(5), 2),
+        (make_biquadratic(2, 3), 16),
+    ])
+    def test_system_size(self, ring, rows):
+        sigma, tau = endomorphisms(ring)[:2]
+        stack, _, _ = derivations._generic_hnf(ring.spec, sigma.images, tau.images)
+        assert len(stack) == rows
+        assert all(len(row) == ring.spec.rank for row in stack)
+
+
 class TestClosedFormMatchesGeneric:
     """Verdict agreement between the per-family closed forms and the
     basis-system solver, 200 random derivations per ring."""
@@ -541,7 +609,8 @@ class TestConjecturalMatchesGeneric:
 
 class TestProvenCyclotomicTest:
     """The (1 - z) | D(z) test against the generic solver and the paper's
-    adjugate route, and the work it does not do."""
+    adjugate route, the generic solver against the stacked solve over Q,
+    and the work the test does not do."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_every_ordered_pair_matches_both_oracles(self, p):
@@ -557,7 +626,7 @@ class TestProvenCyclotomicTest:
                 for d, beta in ((inner_derivation(ring.spec, sigma, tau, planted), planted),
                                 (build_cyclotomic_derivation(ring, sigma, tau, free), None)):
                     proven = cyclotomic_inner_conjectural(ring, sigma, tau, d)
-                    generic = is_inner_generic(ring, sigma, tau, d)
+                    generic = _generic_checked_by_oracle(ring, sigma, tau, d)
                     adjugate = derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
                     assert proven.inner == generic.inner == adjugate.inner
                     assert proven.witness == generic.witness == adjugate.witness

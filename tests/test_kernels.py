@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,20 @@ from sigmatau.rings import make_biquadratic, make_cyclotomic
 compiled = pytest.mark.skipif(
     _backend.BACKEND != "compiled", reason="compiled extension not present"
 )
+
+
+# sha256 of the _kernels.pyx that the committed _kernels.c was generated from
+PYX_SHA256 = "7efa5d7107ecf64543f0c0e9ac56501e9c039a19ae62577058b4556f1b610fce"
+
+
+def test_committed_c_matches_pyx():
+    src = Path(_pykernels.__file__).with_name("_kernels.pyx")
+    digest = hashlib.sha256(src.read_bytes()).hexdigest()
+    assert digest == PYX_SHA256, (
+        "_kernels.pyx changed: regenerate _kernels.c with Cython "
+        "(cython -3 src/sigmatau/_kernels.pyx), commit it, then set PYX_SHA256 "
+        f"in this test to {digest}"
+    )
 
 
 def _random_matrix(rng, n, bound=9):
