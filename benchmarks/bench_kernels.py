@@ -74,6 +74,7 @@ def bench_derivation_failure(rng, repeat):
 
 
 def bench_min_weight(rng, repeat):
+    # the compiled Gray walk against the pure path's bit-sliced histogram
     masks = [rng.getrandbits(32) for _ in range(20)]
     stop = (1 << 20) - 1
 
@@ -83,7 +84,7 @@ def bench_min_weight(rng, repeat):
         _kernels.min_weight_gf2_u64(masks, 1, stop)
 
     def pure():
-        _pykernels.min_weight_gf2(masks, 1, stop)
+        _pykernels.weight_counts_gf2(masks, 32)
 
     return "min_weight_gf2 k=20 n=32", compiled, pure
 

@@ -41,10 +41,21 @@ def derivation_failure(table, d, sig, tau):
     return _pykernels.derivation_failure(table, d, sig, tau)
 
 
-def min_weight_gf2(masks, start: int, stop: int):
-    if _kernels is not None and len(masks) <= 62:
+def min_weight_gf2(masks, n: int):
+    """Minimum weight over the codewords of all nonzero messages; None for k = 0.
+
+    masks[b] is generator row b as a bitmask of the n columns. A nonzero
+    message that gives the zero word makes the answer 0.
+    """
+    k = len(masks)
+    if k == 0:
+        return None
+    if _kernels is not None:
         try:
-            return _kernels.min_weight_gf2_u64(masks, start, stop)
+            return _kernels.min_weight_gf2_u64(masks, 1, (1 << k) - 1)
         except OverflowError:
             pass
-    return _pykernels.min_weight_gf2(masks, start, stop)
+    counts = _pykernels._weight_counts_gf2(masks, n)
+    if counts[0] > 1:
+        return 0
+    return next(w for w in range(1, n + 1) if counts[w])

@@ -78,41 +78,74 @@ def derivation_failure(table, d, sig, tau):
     return None
 
 
-def min_weight_gf2(masks, start: int, stop: int) -> int | None:
-    """Minimum Hamming weight over messages start..stop (Gray-code walk).
-
-    masks[b] is generator row b as a bitmask. Message index m encodes the
-    codeword of gray(m) = m ^ (m >> 1); index 0 is the zero word, so callers
-    enumerating a whole code pass start=1, stop=2**k - 1. Returns None for an
-    empty range.
-    """
-    if stop < start:
-        return None
-    g = start ^ (start >> 1)
-    word = 0
-    b = 0
-    while g:
-        if g & 1:
-            word ^= masks[b]
-        g >>= 1
-        b += 1
-    best = word.bit_count()
-    for m in range(start + 1, stop + 1):
-        word ^= masks[(m & -m).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best
+# Lanes per block of the bit-sliced GF(2) enumeration: one block's big ints
+# hold 2^14 bits (2 KB) each, so memory does not grow with 2^k.
+_BLOCK_BITS = 14
 
 
 def weight_counts_gf2(masks, n: int) -> list[int]:
-    """Weight histogram (length n+1) over all 2**k codewords, zero included."""
+    """Weight histogram (length n+1) over all 2**k messages, zero included.
+
+    masks[b] is generator row b as a bitmask of its n columns.
+    """
+    return _weight_counts_gf2(masks, n)
+
+
+def _weight_counts_gf2(masks, n: int) -> list[int]:
+    # _backend calls this private name, so a wrapper put around the public
+    # kernel (as perfbench's tracer does) leaves its time with the caller.
+    # Bit-sliced: lane m of a big int holds one coordinate of the codeword of
+    # message m. The low rows span the lanes of a block; the high rows step
+    # in Gray order, one XOR per block, and flip whole columns. A ripple
+    # counter of bit planes adds the n columns of every lane at once.
+    k = len(masks)
+    low = min(k, _BLOCK_BITS)
+    lanes = 1 << low
+    full = (1 << lanes) - 1
+    # bit m of cols[c] is coordinate c of the codeword of low message m: the
+    # XOR, over the low rows r that have column c set, of "bit r of m"
+    cols = [0] * n
+    for r in range(low):
+        half = 1 << r
+        pattern = (((1 << half) - 1) << half) * full // ((1 << (2 * half)) - 1)
+        row = masks[r]
+        for c in range(n):
+            if row >> c & 1:
+                cols[c] ^= pattern
+    # columns the low rows never touch are constant on a block
+    const = sum(1 << c for c in range(n) if not cols[c])
+    live = [(c, x) for c, x in enumerate(cols) if x]
+    depth = n.bit_length()
     counts = [0] * (n + 1)
-    counts[0] += 1
-    word = 0
-    for m in range(1, 1 << len(masks)):
-        word ^= masks[(m & -m).bit_length() - 1]
-        counts[word.bit_count()] += 1
+    high = 0
+    for h in range(1 << (k - low)):
+        if h:
+            high ^= masks[low + (h & -h).bit_length() - 1]
+        planes = [0] * depth
+        for c, x in live:
+            if high >> c & 1:
+                x ^= full
+            for j in range(depth):
+                p = planes[j]
+                planes[j] = p ^ x
+                x &= p
+                if not x:
+                    break
+        # split the lanes by the planes, top plane first, and count each leaf
+        offset = (high & const).bit_count()
+        stack = [(full, depth - 1, offset)]
+        while stack:
+            s, j, w = stack.pop()
+            if j < 0:
+                counts[w] += s.bit_count()
+                continue
+            one = s & planes[j]
+            if one:
+                stack.append((one, j - 1, w + (1 << j)))
+            if one != s:
+                stack.append((s ^ one, j - 1, w))
+    if sum(counts) != 1 << k:
+        raise AssertionError("bit-sliced weight counts do not sum to 2^k")
     return counts
 
 

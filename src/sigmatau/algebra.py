@@ -18,7 +18,7 @@ Coords = tuple[int, ...]
 
 
 def _coords(x: Sequence[int], n: int) -> Coords:
-    t = tuple(operator.index(v) for v in x)
+    t = tuple(map(operator.index, x))
     if len(t) != n:
         raise ValueError(f"expected {n} coordinates, got {len(t)}")
     return t

@@ -336,13 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="prime modulus")
     p.add_argument("--label", default="")
     p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and ignored: only the sweep runs in parallel",
+    )
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("reproduce-paper", help="recompute the shipped reference results")
     p.add_argument("--section", choices=["all", "3.2", "4.4", "sweep"], default="all")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the sweep only; codes run in one process",
+    )
     p.set_defaults(func=_cmd_reproduce)
 
     return top

@@ -4,8 +4,14 @@ Pipeline: a derivation D of a rank-n ring gives the n x n integer matrix B
 whose row i holds the coordinates of D applied to the i-th basis element;
 a subset T of rows that is Z-linearly independent is reduced entrywise mod a
 prime q and spans the code. Dimension comes from the mod-q rref, minimum
-distance from exhaustive (budget-guarded) codeword enumeration, duals from
-the nullspace, and the LCD property from det(G G^T) mod q.
+distance from exhaustive codeword enumeration, duals from the nullspace, and
+the LCD property from det(G G^T) mod q.
+
+Enumeration is exact and refused up front, with BudgetExceededError, when
+q^k exceeds the codeword budget. Over GF(2) the pure backend enumerates
+bit-sliced: each bit of a big int is one message's coordinate, so one integer
+operation advances 2^14 codewords, and a ripple counter of bit planes yields
+the exact weight histogram. GF(q > 2) codes use a base-q odometer.
 """
 
 from __future__ import annotations
@@ -128,16 +134,13 @@ def _gf2_masks(code: LinearCode) -> list[int]:
     return [sum(1 << i for i, v in enumerate(row) if v) for row in code.standard_form]
 
 
-def _gf2_shard(task) -> int:
-    masks, start, stop = task
-    return _backend.min_weight_gf2(masks, start, stop)
-
-
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
 
     Never approximates: when q^k exceeds the budget the enumeration is
-    refused with BudgetExceededError.
+    refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
+    when the extension is built, else the bit-sliced weight histogram. jobs is
+    accepted for compatibility; enumeration runs in this process.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
@@ -149,18 +152,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET, jobs: int = 1) 
             f"enumerating {total} codewords exceeds the budget of {budget}"
         )
     if code.q == 2:
-        masks = _gf2_masks(code)
-        count = total - 1
-        if jobs > 1 and count >= 4 * jobs:
-            step = count // jobs
-            bounds = [1 + i * step for i in range(jobs)] + [count + 1]
-            tasks = [(masks, bounds[i], bounds[i + 1] - 1) for i in range(jobs)]
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                d = min(pool.map(_gf2_shard, tasks))
-        else:
-            d = _backend.min_weight_gf2(masks, 1, count)
+        d = _backend.min_weight_gf2(_gf2_masks(code), code.n)
     else:
         d = _pykernels.min_weight_modq([list(r) for r in code.standard_form], code.q)
     code._d = d
@@ -168,7 +160,12 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET, jobs: int = 1) 
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Counts of codewords by Hamming weight, indices 0..n, zero word included."""
+    """Counts of codewords by Hamming weight, indices 0..n, zero word included.
+
+    Every one of the q^k codewords is enumerated (bit-sliced over GF(2)), so
+    the budget refuses the same codes as min_distance; the minimum distance
+    read off the counts is cross-checked against min_distance's cache.
+    """
     if code._wd is not None:
         return code._wd
     if code.q ** code.k > budget:

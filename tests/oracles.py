@@ -83,6 +83,31 @@ def naive_min_distance(generator_rows, q):
     return best
 
 
+def gray_min_weight_gf2(masks, start, stop):
+    """Minimum Hamming weight over message indices start..stop, Gray-code walk.
+
+    masks[b] is generator row b as a bitmask. Message index m encodes the
+    codeword of gray(m) = m ^ (m >> 1); index 0 is the zero word, so a whole
+    code is start=1, stop=2**k - 1. None for an empty range. This is the
+    reference for the compiled walk, which takes the same arguments.
+    """
+    if stop < start:
+        return None
+    g = start ^ (start >> 1)
+    word = 0
+    b = 0
+    while g:
+        if g & 1:
+            word ^= masks[b]
+        g >>= 1
+        b += 1
+    best = word.bit_count()
+    for m in range(start + 1, stop + 1):
+        word ^= masks[(m & -m).bit_length() - 1]
+        best = min(best, word.bit_count())
+    return best
+
+
 def naive_weight_counts(generator_rows, q, n):
     counts = [0] * (n + 1)
     k = len(generator_rows)

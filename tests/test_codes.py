@@ -196,6 +196,28 @@ class TestMinDistance:
         parallel = min_distance(hom_idd_code(b, t, 2), jobs=3)
         assert serial == parallel == 4
 
+    def test_jobs_starts_no_process_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("min_distance started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        b = _reference_matrix()
+        t = _rows_for_exponents([1, 2, 4, 5, 6, 7, 10, 13])
+        assert min_distance(hom_idd_code(b, t, 2), jobs=3) == 4
+
+    def test_matches_naive_across_block_boundary(self):
+        # k = 15 > 14 spans two blocks of the bit-sliced enumeration
+        rng = random.Random(23)
+        rows = [[rng.randrange(2) for _ in range(20)] for _ in range(15)]
+        code = LinearCode(2, 20, rows)
+        assert code.k == 15
+        g = [list(r) for r in code.standard_form]
+        wd = weight_distribution(code)
+        assert list(wd) == naive_weight_counts(g, 2, 20)
+        assert min_distance(code, jobs=2) == naive_min_distance(g, 2)
+
     def test_cached(self):
         code = LinearCode(2, 4, [[1, 1, 1, 1]])
         assert min_distance(code) == 4
