@@ -188,9 +188,7 @@ def _cmd_code(args, out) -> int:
     d = _build_derivation(ring, sigma, tau, args)
     b = codes.idd_matrix(ring, d)
     t = _parse_ints(args.subset)
-    report = codes.code_report(
-        b, t, args.q, label=args.label, budget=args.budget, jobs=args.jobs
-    )
+    report = codes.code_report(b, t, args.q, label=args.label, budget=args.budget)
     if args.format == "json":
         json.dump(codes.report_to_json(report), out, indent=2)
         print(file=out)
@@ -242,9 +240,9 @@ def _reproduce_32(out) -> bool:
     return ok_matrix and ok_det and ok_inner
 
 
-def _reproduce_44(out, jobs: int) -> bool:
+def _reproduce_44(out) -> bool:
     """Thirteen-subset table, compared byte for byte with the golden CSV."""
-    got = codes.reports_csv(codes.reference_code_reports(jobs=jobs))
+    got = codes.reports_csv(codes.reference_code_reports())
     want = codes._fixture_text("paper_s17_codes.csv")
     out.write(got)
     ok = got == want
@@ -267,7 +265,7 @@ def _cmd_reproduce(args, out) -> int:
     if args.section in ("all", "3.2"):
         ok = _reproduce_32(out) and ok
     if args.section in ("all", "4.4"):
-        ok = _reproduce_44(out, args.jobs) and ok
+        ok = _reproduce_44(out) and ok
     if args.section in ("all", "sweep"):
         ok = _reproduce_sweep(out, args.jobs) and ok
     return 0 if ok else 1
@@ -336,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="prime modulus")
     p.add_argument("--label", default="")
     p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted and ignored: only the sweep runs in parallel",
-    )
+    # kept so older command lines still parse; codes are enumerated in one process
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_code)
 

@@ -134,13 +134,12 @@ def _gf2_masks(code: LinearCode) -> list[int]:
     return [sum(1 << i for i, v in enumerate(row) if v) for row in code.standard_form]
 
 
-def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
+def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
 
     Never approximates: when q^k exceeds the budget the enumeration is
     refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
-    when the extension is built, else the bit-sliced weight histogram. jobs is
-    accepted for compatibility; enumeration runs in this process.
+    when the extension is built, else the bit-sliced weight histogram.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
@@ -220,13 +219,13 @@ class CodeReport:
 
 
 def code_report(
-    B: IddMatrix, T, q: int, label: str = "", budget: int = DEFAULT_BUDGET, jobs: int = 1
+    B: IddMatrix, T, q: int, label: str = "", budget: int = DEFAULT_BUDGET
 ) -> CodeReport:
     """[n,k,d] + LCD flag + dual [n,k,d] for one subset selection."""
     code = hom_idd_code(B, T, q)
     dual = dual_code(code)
-    d = min_distance(code, budget, jobs) if code.k else None
-    dual_d = min_distance(dual, budget, jobs) if dual.k else None
+    d = min_distance(code, budget) if code.k else None
+    dual_d = min_distance(dual, budget) if dual.k else None
     return CodeReport(
         label=label,
         subset=tuple(int(t) for t in T),
@@ -285,7 +284,7 @@ def load_reference_fixture() -> dict:
     return json.loads(_fixture_text("subsets_p17.json"))
 
 
-def reference_code_reports(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> list[CodeReport]:
+def reference_code_reports(budget: int = DEFAULT_BUDGET) -> list[CodeReport]:
     """CodeReports for the thirteen shipped subsets, labeled S1..S13."""
     fix = load_reference_fixture()
     ring = make_cyclotomic(fix["p"])
@@ -296,5 +295,5 @@ def reference_code_reports(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> list[
     out = []
     for i, exponents in enumerate(fix["subsets"], start=1):
         t = [e + 1 for e in exponents]  # exponent j lives in the row of z^j
-        out.append(code_report(b, t, fix["q"], label=f"S{i}", budget=budget, jobs=jobs))
+        out.append(code_report(b, t, fix["q"], label=f"S{i}", budget=budget))
     return out

@@ -209,6 +209,13 @@ class TestCode:
         assert "2 3 7 8" in out
         assert "non-LCD" in out
 
+    def test_jobs_still_parses(self, capsys):
+        # codes run in one process; --jobs is accepted so older command lines work
+        _, plain, _ = _run(capsys, *self.ARGS, "--format", "csv")
+        status, out, _ = _run(capsys, *self.ARGS, "--format", "csv", "--jobs", "3")
+        assert status == 0
+        assert out == plain
+
     def test_budget_exceeded(self, capsys):
         status, _, err = _run(capsys, *self.ARGS, "--budget", "3")
         assert status == 1

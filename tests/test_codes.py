@@ -189,23 +189,10 @@ class TestMinDistance:
                     [list(r) for r in code.standard_form], q
                 )
 
-    def test_parallel_matches_serial(self):
+    def test_reference_subset_distance(self):
         b = _reference_matrix()
         t = _rows_for_exponents([1, 2, 4, 5, 6, 7, 10, 13])
-        serial = min_distance(hom_idd_code(b, t, 2), jobs=1)
-        parallel = min_distance(hom_idd_code(b, t, 2), jobs=3)
-        assert serial == parallel == 4
-
-    def test_jobs_starts_no_process_pool(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("min_distance started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        b = _reference_matrix()
-        t = _rows_for_exponents([1, 2, 4, 5, 6, 7, 10, 13])
-        assert min_distance(hom_idd_code(b, t, 2), jobs=3) == 4
+        assert min_distance(hom_idd_code(b, t, 2)) == 4
 
     def test_matches_naive_across_block_boundary(self):
         # k = 15 > 14 spans two blocks of the bit-sliced enumeration
@@ -216,7 +203,7 @@ class TestMinDistance:
         g = [list(r) for r in code.standard_form]
         wd = weight_distribution(code)
         assert list(wd) == naive_weight_counts(g, 2, 20)
-        assert min_distance(code, jobs=2) == naive_min_distance(g, 2)
+        assert min_distance(code) == naive_min_distance(g, 2)
 
     def test_cached(self):
         code = LinearCode(2, 4, [[1, 1, 1, 1]])

@@ -255,11 +255,13 @@ class TestBackendContract:
                 if (gray >> b) & 1:
                     word ^= masks[b]
             weights.append(bin(word).count("1"))
+        kernels = _backend._kernels if _backend.BACKEND == "compiled" else None
         for start in range(1, 8):
             for stop in range(start, 8):
-                assert gray_min_weight_gf2(masks, start, stop) == min(
-                    weights[start - 1 : stop]
-                )
+                want = min(weights[start - 1 : stop])
+                assert gray_min_weight_gf2(masks, start, stop) == want
+                if kernels is not None:
+                    assert kernels.min_weight_gf2_u64(masks, start, stop) == want
 
     def test_modq_odometer_counts(self):
         rows = [[1, 2, 0], [0, 1, 1]]
