@@ -195,24 +195,8 @@ def _cmd_code(args, out) -> int:
     elif args.format == "csv":
         out.write(codes.reports_csv([report]))
     else:
-        rows = [_report_row(report)]
-        _print_table(
-            ["subset", "n", "k", "d", "lcd", "dual_n", "dual_k", "dual_d"], rows, out
-        )
+        _print_table(list(codes._REPORT_COLUMNS), [codes._report_cells(report)], out)
     return 0
-
-
-def _report_row(r) -> list[str]:
-    return [
-        r.label or " ".join(str(t) for t in r.subset),
-        str(r.n),
-        str(r.k),
-        "—" if r.d is None else str(r.d),
-        "LCD" if r.lcd else "non-LCD",
-        str(r.dual_n),
-        str(r.dual_k),
-        "—" if r.dual_d is None else str(r.dual_d),
-    ]
 
 
 def _reproduce_32(out) -> bool:

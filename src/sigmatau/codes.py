@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -53,21 +54,21 @@ def idd_matrix(ring, D) -> IddMatrix:
     return IddMatrix(ring, d, imgs)
 
 
-def _subset_rows(B: IddMatrix, T) -> list[list[int]]:
-    n = B.n
-    idx = [int(t) for t in T]
+def _subset(B: IddMatrix, T) -> tuple[int, ...]:
+    # 1-based row indices; a float or other non-integer raises TypeError
+    idx = tuple(map(operator.index, T))
     for t in idx:
-        if not 1 <= t <= n:
-            raise ValueError(f"row index {t} outside 1..{n}")
-    return [list(B.B[t - 1]) for t in idx]
+        if not 1 <= t <= B.n:
+            raise ValueError(f"row index {t} outside 1..{B.n}")
+    return idx
 
 
 def independent_subset_check(B: IddMatrix, T) -> bool:
     """True iff the selected rows are linearly independent over the rationals."""
-    rows = _subset_rows(B, T)
-    if len(set(int(t) for t in T)) < len(rows):
+    idx = _subset(B, T)
+    if len(set(idx)) < len(idx):
         return False
-    return intlinalg.rank_int(rows) == len(rows)
+    return intlinalg.rank_int([B.B[t - 1] for t in idx]) == len(idx)
 
 
 def omega_reduce(m, q: int) -> list[list[int]]:
@@ -118,9 +119,10 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
     T must be Z-linearly independent (error otherwise); losing rank mod q is
     legitimate and only warns, with the rref rank as the code dimension.
     """
-    if not independent_subset_check(B, T):
+    idx = _subset(B, T)
+    if not independent_subset_check(B, idx):
         raise ValueError("selected rows are not Z-linearly independent")
-    rows = omega_reduce(_subset_rows(B, T), q)
+    rows = omega_reduce([B.B[t - 1] for t in idx], q)
     code = LinearCode(q, B.n, rows, selected=len(rows))
     if code.k < len(rows):
         warnings.warn(
@@ -222,13 +224,14 @@ def code_report(
     B: IddMatrix, T, q: int, label: str = "", budget: int = DEFAULT_BUDGET
 ) -> CodeReport:
     """[n,k,d] + LCD flag + dual [n,k,d] for one subset selection."""
-    code = hom_idd_code(B, T, q)
+    subset = _subset(B, T)
+    code = hom_idd_code(B, subset, q)
     dual = dual_code(code)
     d = min_distance(code, budget) if code.k else None
     dual_d = min_distance(dual, budget) if dual.k else None
     return CodeReport(
         label=label,
-        subset=tuple(int(t) for t in T),
+        subset=subset,
         n=code.n,
         k=code.k,
         d=d,
@@ -253,20 +256,30 @@ def report_to_json(report: CodeReport) -> dict:
     return out
 
 
+_REPORT_COLUMNS = ("subset", "n", "k", "d", "lcd", "dual_n", "dual_k", "dual_d")
+
+
 def _render_d(d: int | None) -> str:
     return "—" if d is None else str(d)
 
 
+def _report_cells(r: CodeReport) -> list[str]:
+    """One report as the cells of _REPORT_COLUMNS, shared by CSV and the CLI table."""
+    return [
+        r.label or " ".join(str(t) for t in r.subset),
+        str(r.n),
+        str(r.k),
+        _render_d(r.d),
+        "LCD" if r.lcd else "non-LCD",
+        str(r.dual_n),
+        str(r.dual_k),
+        _render_d(r.dual_d),
+    ]
+
+
 def reports_csv(reports) -> str:
     """CSV mirror of the reference table layout."""
-    lines = ["subset,n,k,d,lcd,dual_n,dual_k,dual_d"]
-    for r in reports:
-        label = r.label or " ".join(str(t) for t in r.subset)
-        lcd = "LCD" if r.lcd else "non-LCD"
-        lines.append(
-            f"{label},{r.n},{r.k},{_render_d(r.d)},{lcd},"
-            f"{r.dual_n},{r.dual_k},{_render_d(r.dual_d)}"
-        )
+    lines = [",".join(_REPORT_COLUMNS)] + [",".join(_report_cells(r)) for r in reports]
     return "\n".join(lines) + "\n"
 
 

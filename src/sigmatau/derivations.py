@@ -33,7 +33,6 @@ from .rings import (
     CyclotomicRing,
     QuadraticRing,
     _endomorphism_name_of,
-    _endomorphism_names,
     endomorphism_by_name,
     ring_from_json,
     ring_to_json,
@@ -66,22 +65,28 @@ def _as_derivation(spec: AlgebraSpec, sigma, tau, D) -> Derivation:
     return Derivation(spec, _images_of(D, spec), sigma, tau)
 
 
+def _inner_images(spec: AlgebraSpec, sigma, tau, beta) -> tuple[Coords, ...]:
+    return tuple(mul(spec, beta, sub(t, s)) for s, t in zip(sigma.images, tau.images))
+
+
 def inner_derivation(spec: AlgebraSpec, sigma, tau, beta) -> Derivation:
     """The derivation x -> beta (tau(x) - sigma(x))."""
     sigma, tau = _twist_pair(spec, sigma, tau)
-    beta = spec.element(beta)
-    images = [mul(spec, beta, sub(t, s)) for s, t in zip(sigma.images, tau.images)]
-    return Derivation(spec, images, sigma, tau)
+    return Derivation(spec, _inner_images(spec, sigma, tau, spec.element(beta)), sigma, tau)
 
 
 def _assert_witness(d: Derivation, beta) -> None:
-    induced = tuple(mul(d.spec, beta, sub(t, s)) for s, t in zip(d.sigma.images, d.tau.images))
-    if induced != d.images:
+    if _inner_images(d.spec, d.sigma, d.tau, beta) != d.images:
         raise AssertionError("inner witness does not reproduce D")
 
 
-def _make_space(ring, maps: list[Derivation], generators) -> DerivationSpace:
-    rows = [[v for g in generators for v in mp.images[g]] for mp in maps]
+def _generators(spec: AlgebraSpec) -> range:
+    # x alone generates a power-basis spec; otherwise use every basis element
+    return range(1, 2) if spec.power_basis else range(spec.rank)
+
+
+def _make_space(ring, maps: list[Derivation]) -> DerivationSpace:
+    rows = [[v for g in _generators(ring.spec) for v in mp.images[g]] for mp in maps]
     rank = intlinalg.rank_int(rows)
     return DerivationSpace(ring, maps[0].sigma, maps[0].tau, tuple(maps), rank)
 
@@ -105,18 +110,11 @@ def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Der
 
 
 def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
-    """Module basis D_0..D_{p-2} with D_i(z) = z^i; rank p - 1."""
-    spec = ring.spec
-    sigma, tau = _twist_pair(spec, sigma, tau)
-    chain = _power_sum_chain(spec, sigma.images, tau.images, spec.basis(1), ring.p - 2)
-    maps = []
-    for i in range(ring.p - 1):
-        seed = spec.basis(i)
-        images = [spec.zero(), seed]
-        for k in range(2, ring.p - 1):
-            images.append(mul(spec, chain[k - 1], seed))
-        maps.append(Derivation(spec, images, sigma, tau))
-    return _make_space(ring, maps, generators=[1])
+    """Module basis D_0..D_{p-2}, the builder at D_i(z) = z^i; rank p - 1."""
+    sigma, tau = _twist_pair(ring.spec, sigma, tau)
+    return _make_space(ring, [
+        build_cyclotomic_derivation(ring, sigma, tau, ring.spec.basis(i)) for i in range(ring.p - 1)
+    ])
 
 
 def _exponent_of(ring: CyclotomicRing, imgs) -> int:
@@ -238,16 +236,17 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
 
     With (c0, c1) the coordinates of the image of the generator: for
     d != 1 (mod 4), inner iff 2d | c0 and 2 | c1; for d == 1 (mod 4), inner
-    iff d divides both -c0 + c1(d-1)/2 and 2c0 + c1. The witness is negated
-    when (sigma, tau) = (id, conj) rather than (conj, id).
+    iff d divides both -c0 + c1(d-1)/2 and 2c0 + c1. The witness takes tau's
+    sign on the generator: it is negated when (sigma, tau) = (id, conj)
+    rather than (conj, id).
     """
     spec = ring.spec
-    names = [_endomorphism_name_of(ring, _images_of(m, spec)) for m in (sigma, tau)]
-    if set(names) != {"id", "conj"}:
+    names = {_endomorphism_name_of(ring, _images_of(m, spec)) for m in (sigma, tau)}
+    if names != {"id", "conj"}:
         raise ValueError("sigma and tau must be the identity and the conjugation")
     der = _as_derivation(spec, sigma, tau, D)
     c0, c1 = der.images[1]
-    eps = 1 if names[1] == "id" else -1
+    eps = der.tau.images[1][1]
     d = ring.d
     if ring.one_mod4:
         t1 = -c0 + c1 * ((d - 1) // 2)
@@ -269,29 +268,26 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
 
 # --------------------------------------------------------------- biquadratic
 
-_CASE_TABLE = {
-    (1, 2): ("I", 1), (2, 1): ("I", 1), (3, 4): ("I", -1), (4, 3): ("I", -1),
-    (1, 3): ("II", 1), (3, 1): ("II", 1), (2, 4): ("II", -1), (4, 2): ("II", -1),
-    (1, 4): ("III", 1), (4, 1): ("III", 1), (2, 3): ("III", -1), (3, 2): ("III", -1),
-}
-
-
-def _phi_index(ring: BiquadraticRing, endo) -> int:
-    name = _endomorphism_name_of(ring, _images_of(endo, ring.spec))
-    if name is None:
-        raise ValueError("not one of the four biquadratic endomorphisms")
-    return _endomorphism_names(ring).index(name) + 1
-
-
 def classify_biquadratic(ring: BiquadraticRing, sigma, tau) -> tuple[str, int]:
     """Case tag and sign for the pair: I couples D(sqrt(mn)) to +-sqrt(m)D(sqrt(n)),
     II to +-sqrt(n)D(sqrt(m)), III forces D(sqrt(mn)) = 0 with
-    sqrt(m)D(sqrt(n)) = +-sqrt(n)D(sqrt(m))."""
-    i = _phi_index(ring, sigma)
-    j = _phi_index(ring, tau)
-    if i == j:
+    sqrt(m)D(sqrt(n)) = +-sqrt(n)D(sqrt(m)).
+
+    Two distinct maps among phi1..phi4 agree on exactly one of sqrt(m),
+    sqrt(n), sqrt(mn). That generator gives the case (I, II, III in that
+    order), and the two maps' common sign on it gives the sign.
+    """
+    pair = []
+    for endo in (sigma, tau):
+        images = _images_of(endo, ring.spec)
+        if _endomorphism_name_of(ring, images) is None:
+            raise ValueError("not one of the four biquadratic endomorphisms")
+        pair.append(images)
+    s, t = pair
+    if s == t:
         raise ValueError("sigma and tau must differ")
-    return _CASE_TABLE[(i, j)]
+    g = next(g for g in (1, 2, 3) if s[g] == t[g])
+    return ("I", "II", "III")[g - 1], s[g][g]
 
 
 def _case3_images(ring: BiquadraticRing, sgn: int) -> list[list[Coords]]:
@@ -303,15 +299,6 @@ def _case3_images(ring: BiquadraticRing, sgn: int) -> list[list[Coords]]:
     return [[zero, a, smul(sgn, b), zero] for a, b in zip(dm, dn)]
 
 
-def _case3_coefficients(ring: BiquadraticRing, dm: Coords):
-    # invert D(sqrt(m)) = t1*m + t2*sqrt(m) + t3*r*sqrt(n) + t4*sqrt(mn)
-    _, r, _ = ring.gcd_split
-    c0, c1, c2, c3 = dm
-    if c0 % ring.m or c2 % r:
-        return None
-    return (c0 // ring.m, c1, c2 // r, c3)
-
-
 def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images) -> Derivation:
     """Derivation from the free data of the pair's case.
 
@@ -320,32 +307,29 @@ def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images)
     case's sign. Case III couples D(sqrt(m)) and D(sqrt(n)): pass either
     four integer coefficients against the case-III basis maps, or a pair
     (D(sqrt(m)), D(sqrt(n))), which is rejected unless it satisfies
-    sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m)) over this ring.
+    sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m)) over this ring; the
+    derivation law is that check.
     """
     spec = ring.spec
     case, sgn = classify_biquadratic(ring, sigma, tau)
-    if case == "I":
-        c = spec.element(free_images)
-        images = [spec.zero(), spec.zero(), c, smul(sgn, mul(spec, spec.basis(1), c))]
+    if case != "III":
+        # free generator g, other radical h: D(sqrt(mn)) = sgn h D(g)
+        g, h = (2, 1) if case == "I" else (1, 2)
+        images = [spec.zero()] * 4
+        images[g] = spec.element(free_images)
+        images[3] = smul(sgn, mul(spec, spec.basis(h), images[g]))
         return Derivation(spec, images, sigma, tau)
-    if case == "II":
-        c = spec.element(free_images)
-        images = [spec.zero(), c, spec.zero(), smul(sgn, mul(spec, spec.basis(2), c))]
-        return Derivation(spec, images, sigma, tau)
-    basis = _case3_images(ring, sgn)
     fi = list(free_images)
     if len(fi) == 2 and all(isinstance(v, (list, tuple)) for v in fi):
-        dm = spec.element(fi[0])
-        dn = spec.element(fi[1])
-        coeffs = _case3_coefficients(ring, dm)
-        if coeffs is not None:
-            images = _combine(spec, basis, coeffs)
-            if images[1] == dm and images[2] == dn:
-                return Derivation(spec, images, sigma, tau)
-        raise ValueError(
-            "case III images must satisfy sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m))"
-        )
+        images = [spec.zero(), spec.element(fi[0]), spec.element(fi[1]), spec.zero()]
+        try:
+            return Derivation(spec, images, sigma, tau)
+        except ValueError:
+            raise ValueError(
+                "case III images must satisfy sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m))"
+            ) from None
     if len(fi) == 4:
+        basis = _case3_images(ring, sgn)
         return Derivation(spec, _combine(spec, basis, [int(v) for v in fi]), sigma, tau)
     raise ValueError("case III expects four coefficients or a (D(sqrt(m)), D(sqrt(n))) pair")
 
@@ -362,24 +346,13 @@ def _combine(spec: AlgebraSpec, basis, coeffs) -> list[Coords]:
 
 
 def biquadratic_basis(ring: BiquadraticRing, sigma, tau) -> DerivationSpace:
-    """Module basis of four maps per the pair's case; rank 4."""
-    spec = ring.spec
-    sigma, tau = _twist_pair(spec, sigma, tau)
-    case, sgn = classify_biquadratic(ring, sigma, tau)
-    if case == "I":
-        basis = [
-            [spec.zero(), spec.zero(), e, smul(sgn, mul(spec, spec.basis(1), e))]
-            for e in (spec.basis(i) for i in range(4))
-        ]
-    elif case == "II":
-        basis = [
-            [spec.zero(), e, spec.zero(), smul(sgn, mul(spec, spec.basis(2), e))]
-            for e in (spec.basis(i) for i in range(4))
-        ]
-    else:
-        basis = _case3_images(ring, sgn)
-    maps = [Derivation(spec, images, sigma, tau) for images in basis]
-    return _make_space(ring, maps, generators=[1, 2])
+    """Module basis of four maps, rank 4: the builder at each unit vector e_i,
+    taken as the free image in cases I and II and as the coefficients of the
+    i-th case-III basis map in case III."""
+    sigma, tau = _twist_pair(ring.spec, sigma, tau)
+    return _make_space(ring, [
+        build_biquadratic_derivation(ring, sigma, tau, ring.spec.basis(i)) for i in range(4)
+    ])
 
 
 def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
@@ -392,34 +365,24 @@ def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
     """
     case, _sgn = classify_biquadratic(ring, sigma, tau)
     der = _as_derivation(ring.spec, sigma, tau, D)
-    ti = _phi_index(ring, tau)
     m, n = ring.m, ring.n
+    g = 2 if case == "I" else 1
+    c0, c1, c2, c3 = der.images[g]
     if case == "I":
-        c0, c1, c2, c3 = der.images[2]
         checks = ((2 * n, c0, "c0"), (2 * n, c1, "c1"), (2, c2, "c2"), (2, c3, "c3"))
-        eps = 1 if ti in (1, 3) else -1
+        base = (c2 // 2, c3 // 2, c0 // (2 * n), c1 // (2 * n))
     else:
-        c0, c1, c2, c3 = der.images[1]
         checks = ((2 * m, c0, "c0"), (2, c1, "c1"), (2 * m, c2, "c2"), (2, c3, "c3"))
-        eps = 1 if ti in (1, 2) else -1
+        base = (c1 // 2, c0 // (2 * m), c3 // 2, c2 // (2 * m))
     for q, v, name in checks:
         if v % q:
             return InnernessVerdict(False, None, f"{q} does not divide {name} = {v}")
-    if case == "I":
-        base = (c2 // 2, c3 // 2, c0 // (2 * n), c1 // (2 * n))
-    else:
-        base = (c1 // 2, c0 // (2 * m), c3 // 2, c2 // (2 * m))
-    beta = smul(eps, base)
+    beta = smul(der.tau.images[g][g], base)
     _assert_witness(der, beta)
     return InnernessVerdict(True, beta, None)
 
 
 # -------------------------------------------------------------- generic path
-
-def _generators(spec: AlgebraSpec) -> range:
-    # x alone generates a power-basis spec; otherwise use every basis element
-    return range(1, 2) if spec.power_basis else range(spec.rank)
-
 
 @lru_cache(maxsize=512)
 def _generic_hnf(spec: AlgebraSpec, s_imgs, t_imgs):

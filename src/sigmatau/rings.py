@@ -62,27 +62,24 @@ def make_cyclotomic(p: int) -> CyclotomicRing:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p - 1
-    dense = tuple([-1] * n)
-
-    def power(e: int) -> Coords:
-        e %= p
-        if e < n:
-            return tuple(1 if t == e else 0 for t in range(n))
-        return dense
-
-    table = [[power(i + j) for j in range(n)] for i in range(n)]
+    table = [[_zeta_power(p, i + j) for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"z^{i}" if i > 1 else "z" for i in range(1, n)]
-    spec = AlgebraSpec(table, power(0), labels)
+    spec = AlgebraSpec(table, _zeta_power(p, 0), labels)
     return CyclotomicRing(p, spec)
+
+
+def _zeta_power(p: int, e: int) -> Coords:
+    # z^(p-1) = -(1 + z + ... + z^(p-2)); every other power is a basis element
+    n = p - 1
+    e %= p
+    if e < n:
+        return tuple(1 if t == e else 0 for t in range(n))
+    return tuple([-1] * n)
 
 
 def zeta_power(ring: CyclotomicRing, e: int) -> Coords:
     """Coordinates of z^e, for any integer exponent e."""
-    n = ring.p - 1
-    e %= ring.p
-    if e < n:
-        return ring.spec.basis(e)
-    return tuple([-1] * n)
+    return _zeta_power(ring.p, e)
 
 
 def make_quadratic(d: int) -> QuadraticRing:

@@ -206,8 +206,11 @@ class TestCode:
     def test_table(self, capsys):
         status, out, _ = _run(capsys, *self.ARGS)
         assert status == 0
-        assert "2 3 7 8" in out
-        assert "non-LCD" in out
+        assert out.splitlines() == [
+            "subset   n   k  d  lcd      dual_n  dual_k  dual_d",
+            "-------  --  -  -  -------  ------  ------  ------",
+            "2 3 7 8  16  4  7  non-LCD  16      12      2     ",
+        ]
 
     def test_jobs_still_parses(self, capsys):
         # codes run in one process; --jobs is accepted so older command lines work

@@ -78,6 +78,18 @@ class TestSubsetChecks:
         with pytest.raises(ValueError, match="outside"):
             independent_subset_check(b, [17])
 
+    def test_non_integer_indices_rejected(self):
+        # int() would truncate these to the S8 rows (2, 3, 7, 8)
+        b = _reference_matrix()
+        floats = [2.9, 3.2, 7.5, 8.99]
+        for check in (
+            lambda: independent_subset_check(b, floats),
+            lambda: hom_idd_code(b, floats, 2),
+            lambda: code_report(b, floats, 2),
+        ):
+            with pytest.raises(TypeError):
+                check()
+
     def test_zero_row_is_dependent(self):
         b = _reference_matrix()
         assert independent_subset_check(b, [1]) is False  # D(1) = 0

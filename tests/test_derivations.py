@@ -39,7 +39,7 @@ from sigmatau.rings import (
     zeta_power,
 )
 
-from .oracles import ring_multiply, stacked_inner_witness
+from .oracles import basis_elements, derivation_law_holds, ring_multiply, stacked_inner_witness
 
 D_ZETA_P17 = (1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0)
 
@@ -69,6 +69,17 @@ def _random_coords(rng: random.Random, rank: int, bound: int = 9):
 
 def _endo(ring, name):
     return endomorphism_by_name(ring, name)
+
+
+# (sigma index, tau index) among phi1..phi4 -> (case, sign)
+BIQUADRATIC_CASES = {
+    (1, 2): ("I", 1), (2, 1): ("I", 1),
+    (3, 4): ("I", -1), (4, 3): ("I", -1),
+    (1, 3): ("II", 1), (3, 1): ("II", 1),
+    (2, 4): ("II", -1), (4, 2): ("II", -1),
+    (1, 4): ("III", 1), (4, 1): ("III", 1),
+    (2, 3): ("III", -1), (3, 2): ("III", -1),
+}
 
 
 class TestCyclotomicBuilder:
@@ -282,20 +293,11 @@ class TestQuadratic:
 
 
 class TestBiquadraticClassification:
-    # (sigma index, tau index) -> (case, sign)
-    TABLE = {
-        (1, 2): ("I", 1), (2, 1): ("I", 1),
-        (3, 4): ("I", -1), (4, 3): ("I", -1),
-        (1, 3): ("II", 1), (3, 1): ("II", 1),
-        (2, 4): ("II", -1), (4, 2): ("II", -1),
-        (1, 4): ("III", 1), (4, 1): ("III", 1),
-        (2, 3): ("III", -1), (3, 2): ("III", -1),
-    }
-
-    def test_all_twelve_pairs(self):
-        ring = make_biquadratic(2, 3)
+    @pytest.mark.parametrize("m, n", BIQUADRATIC_PAIRS)
+    def test_all_twelve_pairs(self, m, n):
+        ring = make_biquadratic(m, n)
         endos = endomorphisms(ring)
-        for (i, j), expected in self.TABLE.items():
+        for (i, j), expected in BIQUADRATIC_CASES.items():
             assert classify_biquadratic(ring, endos[i - 1], endos[j - 1]) == expected
 
     def test_named_examples(self):
@@ -363,6 +365,59 @@ class TestBiquadraticBuilders:
         # third basis map carries the split cofactors r = 3 and s = 5
         assert space.basis_maps[2].images[1] == (0, 0, 3, 0)
         assert space.basis_maps[2].images[2] == (0, 5, 0, 0)
+
+    @pytest.mark.parametrize("m, n", BIQUADRATIC_PAIRS)
+    def test_case_three_pair_accepted_iff_law_holds(self, m, n):
+        # planted pairs come from the case-III closed form D(sqrt(m)) =
+        # (m t1, t2, r t3, t4), D(sqrt(n)) = sgn (n t4, s t3, t2, t1);
+        # random and perturbed pairs mostly break the law
+        rng = random.Random(1000 * m + n)
+        ring = make_biquadratic(m, n)
+        endos = endomorphisms(ring)
+        _, r, s = ring.gcd_split
+        table = ring.spec.table
+        basis_pairs = [(x, y) for x in basis_elements(4) for y in basis_elements(4)]
+        case_three = [(i - 1, j - 1, sgn) for (i, j), (case, sgn) in BIQUADRATIC_CASES.items() if case == "III"]
+        accepted = rejected = 0
+        for si, ti, sgn in case_three:
+            sigma, tau = endos[si], endos[ti]
+            for trial in range(30):
+                t1, t2, t3, t4 = _random_coords(rng, 4, 4)
+                dm = [m * t1, t2, r * t3, t4]
+                dn = [sgn * v for v in (n * t4, s * t3, t2, t1)]
+                if trial % 3 == 1:
+                    (dm if rng.random() < 0.5 else dn)[rng.randrange(4)] += rng.choice((-1, 1))
+                elif trial % 3 == 2:
+                    dm, dn = _random_coords(rng, 4, 3), _random_coords(rng, 4, 3)
+                images = [(0, 0, 0, 0), tuple(dm), tuple(dn), (0, 0, 0, 0)]
+                holds = derivation_law_holds(table, images, sigma.images, tau.images, basis_pairs)
+                if holds:
+                    d = build_biquadratic_derivation(ring, sigma, tau, (dm, dn))
+                    assert d.images == tuple(images)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError, match="must satisfy"):
+                        build_biquadratic_derivation(ring, sigma, tau, (dm, dn))
+                    rejected += 1
+        assert accepted >= 40 and rejected >= 40
+
+    @pytest.mark.parametrize("m, n", BIQUADRATIC_PAIRS)
+    def test_case_one_two_basis_images_follow_the_formula(self, m, n):
+        # D(g) = e_i and D(sqrt(mn)) = sgn h e_i, with g = sqrt(n), h = sqrt(m)
+        # in case I and g = sqrt(m), h = sqrt(n) in case II
+        ring = make_biquadratic(m, n)
+        endos = endomorphisms(ring)
+        units = basis_elements(4)
+        for (i, j), (case, sgn) in BIQUADRATIC_CASES.items():
+            if case == "III":
+                continue
+            g, h = (2, 1) if case == "I" else (1, 2)
+            space = biquadratic_basis(ring, endos[i - 1], endos[j - 1])
+            for e, mp in zip(units, space.basis_maps):
+                expected = [(0, 0, 0, 0)] * 4
+                expected[g] = e
+                expected[3] = tuple(sgn * v for v in ring_multiply(ring.spec.table, units[h], e))
+                assert mp.images == tuple(expected)
 
     def test_basis_rank_and_law_all_pairs(self):
         for m, n in ((2, 3), (-1, 2)):
