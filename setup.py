@@ -1,20 +1,15 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-
-def _kernels(source: str) -> Extension:
-    return Extension("sigmatau._kernels", [source], extra_compile_args=["-O3"], optional=True)
-
-
-# without Cython, compile the generated C that is committed next to the .pyx
+# Compiles the generated _kernels.c committed next to _kernels.pyx, so a build
+# needs only a C compiler. After editing the .pyx, regenerate the C with
+# `cython -3 src/sigmatau/_kernels.pyx` and commit both.
 setup(
-    ext_modules=cythonize(
-        [_kernels("src/sigmatau/_kernels.pyx")], compiler_directives={"language_level": "3"}
-    )
-    if cythonize is not None
-    else [_kernels("src/sigmatau/_kernels.c")],
+    ext_modules=[
+        Extension(
+            "sigmatau._kernels",
+            ["src/sigmatau/_kernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ],
 )

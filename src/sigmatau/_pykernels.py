@@ -149,54 +149,24 @@ def _weight_counts_gf2(masks, n: int) -> list[int]:
     return counts
 
 
-def min_weight_modq(rows, q: int) -> int | None:
-    """Minimum weight over all nonzero codewords, exhaustive base-q odometer."""
-    k = len(rows)
-    if k == 0:
-        return None
-    n = len(rows[0])
-    best = None
-    cur = [0] * n
-
-    def rec(i: int, nz: bool) -> None:
-        nonlocal best
-        if i == k:
-            if nz:
-                w = sum(1 for v in cur if v)
-                if best is None or w < best:
-                    best = w
-            return
-        rec(i + 1, nz)
-        row = rows[i]
-        for _ in range(q - 1):
-            for t in range(n):
-                cur[t] = (cur[t] + row[t]) % q
-            rec(i + 1, True)
-        for t in range(n):
-            cur[t] = (cur[t] + row[t]) % q
-
-    rec(0, False)
-    return best
-
-
 def weight_counts_modq(rows, q: int, n: int) -> list[int]:
-    """Weight histogram (length n+1) over all q**k codewords, zero included."""
+    """Weight histogram (length n+1) over all q**k codewords, zero included.
+
+    rows are the k generator rows, each a sequence of n residues mod q; the
+    odometer passes the running codeword down, one row multiple per level.
+    """
     counts = [0] * (n + 1)
     k = len(rows)
-    cur = [0] * n
 
-    def rec(i: int) -> None:
+    def rec(i: int, cur: list[int]) -> None:
         if i == k:
-            counts[sum(1 for v in cur if v)] += 1
+            counts[n - cur.count(0)] += 1
             return
-        rec(i + 1)
         row = rows[i]
+        rec(i + 1, cur)
         for _ in range(q - 1):
-            for t in range(n):
-                cur[t] = (cur[t] + row[t]) % q
-            rec(i + 1)
-        for t in range(n):
-            cur[t] = (cur[t] + row[t]) % q
+            cur = [(a + b) % q for a, b in zip(cur, row)]
+            rec(i + 1, cur)
 
-    rec(0)
+    rec(0, [0] * n)
     return counts

@@ -328,10 +328,6 @@ def _power_sum_chain(spec: AlgebraSpec, s_imgs, t_imgs, alpha: Coords, kmax: int
     return chain
 
 
-def _power_sum(spec: AlgebraSpec, s_imgs, t_imgs, alpha: Coords, k: int) -> Coords:
-    return _power_sum_chain(spec, s_imgs, t_imgs, alpha, k)[-1]
-
-
 def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: int) -> Coords:
     """Sum of sigma(alpha^i) tau(alpha^j) over i + j = k - 1 (k terms).
 
@@ -341,7 +337,7 @@ def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: 
     if k < 1:
         raise ValueError("k must be at least 1")
     sigma, tau = _twist_pair(spec, sigma, tau)
-    return _power_sum(spec, sigma.images, tau.images, spec.element(alpha), k)
+    return _power_sum_chain(spec, sigma.images, tau.images, spec.element(alpha), k)[-1]
 
 
 def mult_matrix(spec: AlgebraSpec, g: Sequence[int]) -> list[list[int]]:

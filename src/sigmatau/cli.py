@@ -105,7 +105,9 @@ def _cmd_derive(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    if args.from_file:
+    if args.from_file == "-":
+        ring, sigma, tau, d = derivations.derivation_from_json(json.load(sys.stdin))
+    elif args.from_file:
         with open(args.from_file) as fh:
             ring, sigma, tau, d = derivations.derivation_from_json(json.load(fh))
     else:
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("check", help="verify the derivation law")
-    p.add_argument("--from-file", help="JSON artifact produced by derive")
+    p.add_argument("--from-file", help="JSON artifact produced by derive; - reads stdin")
     p.add_argument("--ring")
     p.add_argument("--sigma")
     p.add_argument("--tau")

@@ -11,7 +11,9 @@ Enumeration is exact and refused up front, with BudgetExceededError, when
 q^k exceeds the codeword budget. Over GF(2) the pure backend enumerates
 bit-sliced: each bit of a big int is one message's coordinate, so one integer
 operation advances 2^14 codewords, and a ripple counter of bit planes yields
-the exact weight histogram. GF(q > 2) codes use a base-q odometer.
+the exact weight histogram. Over GF(q > 2) one base-q odometer yields the
+weight histogram, which is cached with the minimum distance read off it, so
+a code is enumerated once whichever of the two is asked for first.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class LinearCode:
     """Code over GF(q) spanned by generator rows; rref and rank are eager,
     distance and weight distribution are computed on demand and cached."""
 
-    __slots__ = ("q", "n", "generator", "standard_form", "k", "selected", "_d", "_wd")
+    __slots__ = ("q", "n", "standard_form", "k", "selected", "_d", "_wd")
 
     def __init__(self, q: int, n: int, generator, selected: int | None = None):
         if not is_prime(q):
@@ -93,7 +95,6 @@ class LinearCode:
         for row in rows:
             if len(row) != n:
                 raise ValueError("generator rows must have the code length")
-        self.generator = tuple(tuple(row) for row in rows)
         red, rank, _ = intlinalg.rref_mod_q(rows, q) if rows else ([], 0, [])
         self.standard_form = tuple(tuple(r) for r in red[:rank])
         self.k = rank
@@ -122,11 +123,10 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
     idx = _subset(B, T)
     if not independent_subset_check(B, idx):
         raise ValueError("selected rows are not Z-linearly independent")
-    rows = omega_reduce([B.B[t - 1] for t in idx], q)
-    code = LinearCode(q, B.n, rows, selected=len(rows))
-    if code.k < len(rows):
+    code = LinearCode(q, B.n, [B.B[t - 1] for t in idx], selected=len(idx))
+    if code.k < len(idx):
         warnings.warn(
-            f"mod-{q} rank {code.k} is below the subset size {len(rows)}",
+            f"mod-{q} rank {code.k} is below the subset size {len(idx)}",
             stacklevel=2,
         )
     return code
@@ -136,49 +136,48 @@ def _gf2_masks(code: LinearCode) -> list[int]:
     return [sum(1 << i for i, v in enumerate(row) if v) for row in code.standard_form]
 
 
-def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
-
-    Never approximates: when q^k exceeds the budget the enumeration is
-    refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
-    when the extension is built, else the bit-sliced weight histogram.
-    """
-    if code.k < 1:
-        raise ValueError("minimum distance of the zero code is undefined")
-    if code._d is not None:
-        return code._d
+def _check_budget(code: LinearCode, budget: int) -> None:
     total = code.q ** code.k
     if total > budget:
         raise BudgetExceededError(
             f"enumerating {total} codewords exceeds the budget of {budget}"
         )
-    if code.q == 2:
-        d = _backend.min_weight_gf2(_gf2_masks(code), code.n)
-    else:
-        d = _pykernels.min_weight_modq([list(r) for r in code.standard_form], code.q)
-    code._d = d
-    return d
+
+
+def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
+
+    Never approximates: when q^k exceeds the budget the enumeration is
+    refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
+    when the extension is built, else the bit-sliced weight histogram; over
+    GF(q > 2) the minimum is read off weight_distribution, which caches both.
+    """
+    if code.k < 1:
+        raise ValueError("minimum distance of the zero code is undefined")
+    if code._d is None:
+        if code.q == 2:
+            _check_budget(code, budget)
+            code._d = _backend.min_weight_gf2(_gf2_masks(code), code.n)
+        else:
+            weight_distribution(code, budget)
+    return code._d
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Counts of codewords by Hamming weight, indices 0..n, zero word included.
 
     Every one of the q^k codewords is enumerated (bit-sliced over GF(2)), so
-    the budget refuses the same codes as min_distance; the minimum distance
-    read off the counts is cross-checked against min_distance's cache.
+    the budget refuses the same codes as min_distance. The minimum distance
+    read off the counts fills min_distance's cache, or is cross-checked
+    against it when a GF(2) min_distance call filled it first.
     """
     if code._wd is not None:
         return code._wd
-    if code.q ** code.k > budget:
-        raise BudgetExceededError(
-            f"enumerating {code.q ** code.k} codewords exceeds the budget of {budget}"
-        )
+    _check_budget(code, budget)
     if code.q == 2:
         counts = _pykernels.weight_counts_gf2(_gf2_masks(code), code.n)
     else:
-        counts = _pykernels.weight_counts_modq(
-            [list(r) for r in code.standard_form], code.q, code.n
-        )
+        counts = _pykernels.weight_counts_modq(code.standard_form, code.q, code.n)
     wd = tuple(counts)
     if code.k >= 1:
         d = next(w for w in range(1, code.n + 1) if wd[w])

@@ -117,16 +117,6 @@ def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
     ])
 
 
-def _exponent_of(ring: CyclotomicRing, imgs) -> int:
-    img = imgs[1]
-    if all(v == -1 for v in img):
-        return ring.p - 1
-    nz = [t for t, v in enumerate(img) if v]
-    if len(nz) == 1 and nz[0] >= 1 and img[nz[0]] == 1:
-        return nz[0]
-    raise ValueError("sigma and tau must send z to a power of z")
-
-
 def _reindex(p: int, c, a: int, e: int) -> Coords:
     # coordinates of sum_i c_i z^(a (i + e)) on the power basis
     out = [0] * p
@@ -173,8 +163,8 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
             False, None,
             f"{p} does not divide the coordinate sum {s} of D(z), so 1 - z does not divide D(z)",
         )
-    u = _exponent_of(ring, der.sigma.images)
-    w = _exponent_of(ring, der.tau.images)
+    u = int(_endomorphism_name_of(ring, der.sigma.images))
+    w = int(_endomorphism_name_of(ring, der.tau.images))
     witness = _cyclotomic_quotient(p, u, w, c)
     _assert_witness(der, witness)
     return InnernessVerdict(True, witness, None)
@@ -194,8 +184,8 @@ def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> Innerness
     O(p^5); det(A) outside {p, -p} raises ConjectureViolationError.
     """
     der = _as_derivation(ring.spec, sigma, tau, D)
-    u = _exponent_of(ring, der.sigma.images)
-    w = _exponent_of(ring, der.tau.images)
+    u = int(_endomorphism_name_of(ring, der.sigma.images))
+    w = int(_endomorphism_name_of(ring, der.tau.images))
     adj, det = _adjugate_det_A(ring.p, w, u)
     if abs(det) != ring.p:
         raise ConjectureViolationError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraSpec, Coords, Endomorphism
 from .intlinalg import is_prime
@@ -79,7 +80,9 @@ def _zeta_power(p: int, e: int) -> Coords:
 
 def zeta_power(ring: CyclotomicRing, e: int) -> Coords:
     """Coordinates of z^e, for any integer exponent e."""
-    return _zeta_power(ring.p, e)
+    # the table holds z^(i+j) for i, j < p - 1, which covers every residue
+    e %= ring.p
+    return ring.spec.table[0][e] if e < ring.p - 1 else ring.spec.table[1][-1]
 
 
 def make_quadratic(d: int) -> QuadraticRing:
@@ -175,10 +178,12 @@ def endomorphism_by_name(ring, key) -> Endomorphism:
 
 def _endomorphism_name_of(ring, images) -> str | None:
     # comparing with the canonical images needs no endomorphism check
-    for name in _endomorphism_names(ring):
-        if _endomorphism_images(ring, name) == images:
-            return name
-    return None
+    return _names_by_images(ring).get(tuple(images))
+
+
+@lru_cache(maxsize=64)
+def _names_by_images(ring) -> dict[tuple[Coords, ...], str]:
+    return {_endomorphism_images(ring, name): name for name in _endomorphism_names(ring)}
 
 
 def ring_to_json(ring) -> dict:

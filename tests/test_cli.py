@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -62,6 +63,18 @@ class TestDeriveAndCheck:
         status, out, _ = _run(capsys, "check", "--from-file", str(path))
         assert status == 0
         assert "derivation law holds" in out
+
+    def test_check_reads_stdin(self, capsys, monkeypatch):
+        status, out, _ = _run(
+            capsys, "derive",
+            "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
+            "--dzeta", "0,1,0,0",
+        )
+        assert status == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        status, out, _ = _run(capsys, "check", "--from-file", "-")
+        assert status == 0
+        assert "derivation law holds for (1, 2)" in out
 
     def test_inline_check_failure(self, capsys):
         status, out, _ = _run(

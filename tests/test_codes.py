@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sigmatau import _pykernels
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
@@ -249,6 +250,27 @@ class TestWeightDistribution:
         code = LinearCode(3, 4, [[1, 0, 1, 1], [0, 1, 2, 0]])
         with pytest.raises(BudgetExceededError):
             weight_distribution(code, budget=5)
+
+    def test_one_enumeration_per_gfq_code(self, monkeypatch):
+        kernel = _pykernels.weight_counts_modq
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_pykernels, "weight_counts_modq", counting)
+        rows = [[1, 0, 2, 1, 1, 0], [0, 1, 1, 2, 0, 1], [1, 1, 0, 0, 2, 2]]
+        g = [list(r) for r in LinearCode(3, 6, rows).standard_form]
+        for first, second in ((min_distance, weight_distribution), (weight_distribution, min_distance)):
+            calls.clear()
+            code = LinearCode(3, 6, rows)
+            first(code)
+            assert len(calls) == 1
+            second(code)
+            assert len(calls) == 1
+            assert code._d == naive_min_distance(g, 3)
+            assert list(code._wd) == naive_weight_counts(g, 3, 6)
 
 
 class TestDual:

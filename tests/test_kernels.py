@@ -7,7 +7,7 @@ import pytest
 from sigmatau import _backend, _pykernels
 from sigmatau.rings import make_biquadratic, make_cyclotomic
 
-from .oracles import gray_min_weight_gf2, naive_weight_counts
+from .oracles import gray_min_weight_gf2, naive_min_distance, naive_weight_counts
 
 compiled = pytest.mark.skipif(
     _backend.BACKEND != "compiled", reason="compiled extension not present"
@@ -268,6 +268,22 @@ class TestBackendContract:
         counts = _pykernels.weight_counts_modq(rows, 3, 3)
         assert sum(counts) == 9
         assert counts[0] == 1
-        assert _pykernels.min_weight_modq(rows, 3) == min(
-            w for w in range(1, 4) if counts[w]
-        )
+        assert naive_min_distance(rows, 3) == min(w for w in range(1, 4) if counts[w])
+
+    def test_modq_odometer_matches_naive(self):
+        # the kernel counts all q^k messages; the oracle counts distinct words,
+        # each of which q^(k - rank) messages reach
+        rng = random.Random(113)
+        for q in (3, 5, 7):
+            for k in range(5):
+                for _ in range(4):
+                    n = rng.randint(1, 6)
+                    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                    if k >= 2:
+                        rows[-1] = [(2 * a + b) % q for a, b in zip(rows[0], rows[1])]
+                    if k >= 3:
+                        rows[1] = [0] * n
+                    want = naive_weight_counts(rows, q, n)
+                    reach = q ** k // sum(want)
+                    got = _pykernels.weight_counts_modq([tuple(r) for r in rows], q, n)
+                    assert got == [c * reach for c in want]
