@@ -1,8 +1,11 @@
-"""Pure-Python twins of the compiled kernels.
+"""Pure-Python kernels over plain ints.
 
-Everything here works on plain Python ints, so there is no overflow to worry
-about; the compiled versions in _kernels.pyx bail out (OverflowError) when
-int64 intermediates could overflow and the dispatcher falls back to these.
+Two kinds live here. Twins of the compiled kernels in _kernels.pyx: those
+bail out (OverflowError) when int64 intermediates could overflow, and
+_backend falls back to the twin. And the one product through a structure
+table, _support, _expand and _apply, which algebra's mul and maps share with
+the pure law kernel. Helpers stay private so that a tracer wrapping this
+module's public functions sees each kernel call once, not every product in it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,36 @@ def det_bareiss(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _support(x) -> list[tuple[int, int]]:
+    """(index, coefficient) for each nonzero coordinate of x."""
+    return [(s, c) for s, c in enumerate(x) if c]
+
+
+def _expand(table, a, b, acc: list[int]) -> list[int]:
+    """Add the product of supports a and b, expanded through table, to acc."""
+    cols = range(len(acc))
+    for s, cs in a:
+        row = table[s]
+        for t, ct in b:
+            k = cs * ct
+            cell = row[t]
+            for r in cols:
+                acc[r] += k * cell[r]
+    return acc
+
+
+def _apply(imgs, x) -> tuple[int, ...]:
+    """Image of coordinates x under the additive map with basis images imgs."""
+    n = len(imgs)
+    acc = [0] * n
+    for s, c in enumerate(x):
+        if c:
+            im = imgs[s]
+            for r in range(n):
+                acc[r] += c * im[r]
+    return tuple(acc)
+
+
 def derivation_failure(table, d, sig, tau):
     """First basis pair (i, j) violating D(ei*ej) == D(ei)tau(ej) + sig(ei)D(ej).
 
@@ -46,34 +79,12 @@ def derivation_failure(table, d, sig, tau):
     the twisted Leibniz law holds on every pair, scanning in row-major order.
     """
     n = len(table)
-    zero = [0] * n
-    supports = lambda rows: [
-        [(s, c) for s, c in enumerate(row) if c] for row in rows
-    ]
-    d_supp = supports(d)
-    s_supp = supports(sig)
-    t_supp = supports(tau)
+    d_supp, s_supp, t_supp = ([_support(row) for row in m] for m in (d, sig, tau))
     for i in range(n):
-        di_supp = d_supp[i]
-        si_supp = s_supp[i]
         for j in range(n):
-            lhs = zero[:]
-            for s, c in enumerate(table[i][j]):
-                if c:
-                    row = d[s]
-                    lhs = [x + c * y for x, y in zip(lhs, row)]
-            rhs = zero[:]
-            for s, cs in di_supp:
-                ts = table[s]
-                for t, ct in t_supp[j]:
-                    k = cs * ct
-                    rhs = [x + k * y for x, y in zip(rhs, ts[t])]
-            for s, cs in si_supp:
-                ts = table[s]
-                for t, ct in d_supp[j]:
-                    k = cs * ct
-                    rhs = [x + k * y for x, y in zip(rhs, ts[t])]
-            if lhs != rhs:
+            rhs = _expand(table, d_supp[i], t_supp[j], [0] * n)
+            _expand(table, s_supp[i], d_supp[j], rhs)
+            if _apply(d, table[i][j]) != tuple(rhs):
                 return (i, j)
     return None
 

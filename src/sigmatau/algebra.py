@@ -2,9 +2,11 @@
 
 An algebra of rank n is described by an n x n x n integer tensor: table[i][j]
 is the coordinate vector of basis_i * basis_j. Elements are coordinate tuples
-and all arithmetic is exact. Twisted maps come in three flavours: LinearMap
-(arbitrary images of the basis), and Endomorphism and Derivation, checked at
-construction to be unital multiplicative and a (sigma, tau)-derivation.
+and all arithmetic is exact: products and images of maps come from
+_pykernels._expand and _apply, which the pure law kernel shares. Twisted maps
+come in three flavours: LinearMap (arbitrary images of the basis), and
+Endomorphism and Derivation, checked at construction to be unital
+multiplicative and a (sigma, tau)-derivation.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import operator
 from collections.abc import Sequence
 
 from . import _backend
+from ._pykernels import _apply, _expand, _support
 
 Coords = tuple[int, ...]
 
@@ -132,20 +135,7 @@ def smul(k: int, a: Sequence[int]) -> Coords:
 def mul(spec: AlgebraSpec, a: Sequence[int], b: Sequence[int]) -> Coords:
     """Product in the algebra, expanded bilinearly through the table."""
     n = spec.rank
-    a = _coords(a, n)
-    b = _coords(b, n)
-    acc = [0] * n
-    table = spec.table
-    for s, cs in enumerate(a):
-        if cs:
-            row = table[s]
-            for t, ct in enumerate(b):
-                if ct:
-                    k = cs * ct
-                    cell = row[t]
-                    for r in range(n):
-                        acc[r] += k * cell[r]
-    return tuple(acc)
+    return tuple(_expand(spec.table, _support(_coords(a, n)), _support(_coords(b, n)), [0] * n))
 
 
 class LinearMap:
@@ -217,18 +207,6 @@ def _images_of(m, spec: AlgebraSpec) -> tuple[Coords, ...]:
 def apply_map(spec: AlgebraSpec, images, x: Sequence[int]) -> Coords:
     """Image of x under the additive map with the given basis images."""
     return _apply(_images_of(images, spec), _coords(x, spec.rank))
-
-
-def _apply(imgs, x: Coords) -> Coords:
-    # imgs and x are already checked coordinate tuples
-    n = len(imgs)
-    acc = [0] * n
-    for s, c in enumerate(x):
-        if c:
-            im = imgs[s]
-            for r in range(n):
-                acc[r] += c * im[r]
-    return tuple(acc)
 
 
 def endomorphism_failure(spec: AlgebraSpec, m) -> tuple | None:
@@ -311,23 +289,6 @@ def is_derivation(spec: AlgebraSpec, d, sigma, tau) -> bool:
     return derivation_failure(spec, d, sigma, tau) is None
 
 
-def _power_sum_chain(spec: AlgebraSpec, s_imgs, t_imgs, alpha: Coords, kmax: int) -> list[Coords]:
-    """[P_1, ..., P_kmax] where P_k sums sigma(alpha)^i tau(alpha)^j over
-    i + j = k - 1, via P_(k+1) = sigma(alpha) P_k + tau(alpha)^k.
-
-    The recurrence needs s_imgs and t_imgs to be multiplicative; callers
-    validate that before reaching here.
-    """
-    s_alpha = _apply(s_imgs, alpha)
-    t_alpha = _apply(t_imgs, alpha)
-    chain = [spec.unity]
-    tpow = spec.unity
-    for _ in range(kmax - 1):
-        tpow = mul(spec, tpow, t_alpha)
-        chain.append(add(mul(spec, s_alpha, chain[-1]), tpow))
-    return chain
-
-
 def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: int) -> Coords:
     """Sum of sigma(alpha^i) tau(alpha^j) over i + j = k - 1 (k terms).
 
@@ -337,7 +298,13 @@ def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: 
     if k < 1:
         raise ValueError("k must be at least 1")
     sigma, tau = _twist_pair(spec, sigma, tau)
-    return _power_sum_chain(spec, sigma.images, tau.images, spec.element(alpha), k)[-1]
+    s_alpha, t_alpha = (_apply(m.images, spec.element(alpha)) for m in (sigma, tau))
+    # P_(i+1) = sigma(alpha) P_i + tau(alpha)^i, from P_1 = 1
+    total = t_pow = spec.unity
+    for _ in range(k - 1):
+        t_pow = mul(spec, t_pow, t_alpha)
+        total = add(mul(spec, s_alpha, total), t_pow)
+    return total
 
 
 def mult_matrix(spec: AlgebraSpec, g: Sequence[int]) -> list[list[int]]:

@@ -38,8 +38,10 @@ def _parse_ring(spec: str):
     if family == "quadratic":
         return rings.make_quadratic(int(rest))
     if family == "biquadratic":
-        m, n = _parse_ints(rest)
-        return rings.make_biquadratic(m, n)
+        params = _parse_ints(rest)
+        if len(params) != 2:
+            raise ValueError(f"expected biquadratic:M,N with two integers, got {spec!r}")
+        return rings.make_biquadratic(*params)
     raise ValueError(
         f"unknown ring {spec!r}; use cyclotomic:P, quadratic:D, or biquadratic:M,N"
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intlinalg
+from ._pykernels import _expand, _support
 from .algebra import (
     AlgebraSpec,
     Coords,
@@ -19,7 +20,6 @@ from .algebra import (
     Endomorphism,
     LinearMap,
     _images_of,
-    _power_sum_chain,
     _twist_pair,
     add,
     mul,
@@ -96,16 +96,18 @@ def _make_space(ring, maps: list[Derivation]) -> DerivationSpace:
 def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Derivation:
     """Derivation with D(1) = 0, D(z) = d_zeta, and every D(z^k) forced.
 
-    The twisted Leibniz law determines D(z^k) as the sum over i + j = k - 1
-    of sigma(z^i) tau(z^j), times D(z); any d_zeta works.
+    The twisted Leibniz law gives D(z^(k+1)) = D(z^k) tau(z) + sigma(z^k) D(z),
+    two products per power, each against one power of z; any d_zeta works.
     """
     spec = ring.spec
     sigma, tau = _twist_pair(spec, sigma, tau)
     d_zeta = spec.element(d_zeta)
-    chain = _power_sum_chain(spec, sigma.images, tau.images, spec.basis(1), ring.p - 2)
+    d_supp = _support(d_zeta)
+    t_zeta = _support(tau.images[1])
     images = [spec.zero(), d_zeta]
-    for k in range(2, ring.p - 1):
-        images.append(mul(spec, chain[k - 1], d_zeta))
+    for k in range(1, ring.p - 2):
+        acc = _expand(spec.table, _support(images[k]), t_zeta, [0] * spec.rank)
+        images.append(tuple(_expand(spec.table, _support(sigma.images[k]), d_supp, acc)))
     return Derivation(spec, images, sigma, tau)
 
 
@@ -428,9 +430,18 @@ def derivation_to_json(ring, sigma, tau, D) -> dict:
 
 
 def derivation_from_json(data: dict):
-    """Inverse of derivation_to_json: (ring, sigma, tau, LinearMap)."""
+    """Inverse of derivation_to_json: (ring, sigma, tau, LinearMap); a
+    missing or malformed field is a ValueError naming it."""
+    for key in ("ring", "sigma", "tau", "images"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"derivation lacks field {key!r}")
     ring = ring_from_json(data["ring"])
     sigma = endomorphism_by_name(ring, data["sigma"])
     tau = endomorphism_by_name(ring, data["tau"])
-    d = LinearMap(ring.spec, [tuple(img) for img in data["images"]])
+    images = data["images"]
+    if not isinstance(images, list) or not all(
+        isinstance(img, list) and all(type(c) is int for c in img) for img in images
+    ):
+        raise ValueError(f"derivation field 'images' must be a list of integer lists, got {images!r}")
+    d = LinearMap(ring.spec, [tuple(img) for img in images])
     return ring, sigma, tau, d

@@ -197,11 +197,16 @@ def ring_to_json(ring) -> dict:
 
 
 def ring_from_json(data: dict):
-    family = data.get("family")
-    if family == "cyclotomic":
-        return make_cyclotomic(data["p"])
-    if family == "quadratic":
-        return make_quadratic(data["d"])
-    if family == "biquadratic":
-        return make_biquadratic(data["m"], data["n"])
-    raise ValueError(f"unknown ring family {family!r}")
+    """Inverse of ring_to_json; a missing or malformed field is a ValueError naming it."""
+    family = data.get("family") if isinstance(data, dict) else None
+    make, keys = {
+        "cyclotomic": (make_cyclotomic, ("p",)),
+        "quadratic": (make_quadratic, ("d",)),
+        "biquadratic": (make_biquadratic, ("m", "n")),
+    }.get(family, (None, ()))
+    if make is None:
+        raise ValueError(f"unknown ring family {family!r} in {data!r}")
+    for key in keys:
+        if type(data.get(key)) is not int:
+            raise ValueError(f"{family} ring field {key!r} is missing or not an integer")
+    return make(*(data[key] for key in keys))

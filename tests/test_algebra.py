@@ -42,6 +42,19 @@ def rand_elt(rng, n, bound=9):
     return tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
 
 
+# every kind of table mul expands through: power bases, d = 1 and d != 1 mod 4,
+# biquadratic tables, and the counterexamples' cyclic and nilpotent tables
+_PRODUCT_SPECS = {
+    **{f"cyclotomic_{p}": (lambda p=p: make_cyclotomic(p).spec) for p in (3, 5, 7, 11, 13)},
+    **{f"quadratic_{d}": (lambda d=d: make_quadratic(d).spec) for d in (-7, -3, 5, 13, -5, -1, 2, 3)},
+    **{
+        f"biquadratic_{m}_{n}": (lambda m=m, n=n: make_biquadratic(m, n).spec)
+        for m, n in ((2, 3), (-1, 2), (5, 6), (6, 10), (-2, 5))
+    },
+    **{name: (lambda build=build: build()[0]) for name, build, _ in ALL_COUNTEREXAMPLES},
+}
+
+
 class TestSpecValidation:
     def test_non_commutative_table_rejected(self):
         table = [[(1, 0), (0, 1)], [(1, 0), (0, 1)]]
@@ -122,12 +135,15 @@ class TestMul:
         assert mul(spec, x, mul(spec, y, z)) == mul(spec, mul(spec, x, y), z)
         assert mul(spec, x, add(y, z)) == add(mul(spec, x, y), mul(spec, x, z))
 
-    def test_matches_oracle_multiplication(self):
-        rng = random.Random(2)
-        spec = make_biquadratic(2, 3).spec
-        for _ in range(50):
-            x, y = rand_elt(rng, 4), rand_elt(rng, 4)
-            assert mul(spec, x, y) == ring_multiply(spec.table, x, y)
+    @pytest.mark.parametrize("name", sorted(_PRODUCT_SPECS))
+    def test_matches_oracle_multiplication(self, name):
+        spec = _PRODUCT_SPECS[name]()
+        n = spec.rank
+        rng = random.Random(name)
+        factors = [spec.zero(), *basis_elements(n), *(rand_elt(rng, n) for _ in range(8))]
+        for x in factors:
+            for y in factors:
+                assert mul(spec, x, y) == ring_multiply(spec.table, x, y)
 
 
 class TestApplyMap:

@@ -109,6 +109,57 @@ class TestDeriveAndCheck:
         assert "error:" in err
 
 
+_GOOD_DOC = {
+    "ring": {"family": "cyclotomic", "p": 5},
+    "sigma": "1",
+    "tau": "2",
+    "images": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, -1, -1, 0]],
+}
+
+_MALFORMED_DOCS = {
+    "no_ring_p": ({**_GOOD_DOC, "ring": {"family": "cyclotomic"}}, "'p'"),
+    "no_images": ({k: v for k, v in _GOOD_DOC.items() if k != "images"}, "'images'"),
+    "images_not_a_list": ({**_GOOD_DOC, "images": 7}, "'images'"),
+}
+
+
+def _assert_clean_error(status, err, *needles):
+    # exit 1 with a one-line "error:" message, never a Python traceback
+    assert status == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_DOCS))
+    def test_check_from_file(self, capsys, tmp_path, name):
+        doc, field = _MALFORMED_DOCS[name]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        status, _, err = _run(capsys, "check", "--from-file", str(path))
+        _assert_clean_error(status, err, field)
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_DOCS))
+    def test_check_from_stdin(self, capsys, monkeypatch, name):
+        doc, field = _MALFORMED_DOCS[name]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        status, _, err = _run(capsys, "check", "--from-file", "-")
+        _assert_clean_error(status, err, field)
+
+    def test_biquadratic_needs_two_parameters(self, capsys):
+        status, _, err = _run(capsys, "ring", "--ring", "biquadratic:2")
+        _assert_clean_error(status, err, "biquadratic:M,N")
+
+    def test_well_formed_document_still_checks(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_GOOD_DOC))
+        status, out, _ = _run(capsys, "check", "--from-file", str(path))
+        assert status == 0
+        assert "derivation law holds for (1, 2)" in out
+
+
 class TestInner:
     def test_not_inner_both_deciders(self, capsys):
         status, out, _ = _run(

@@ -119,18 +119,19 @@ class TestCyclotomicBuilder:
         assert d.images[1] == D_ZETA_P17
         assert is_derivation(ring.spec, d, sigma, tau)
 
-    def test_power_law(self):
-        # D(z^k) equals the k-term twisted power sum times D(z)
-        rng = random.Random(23)
-        for p in (5, 7):
-            ring = make_cyclotomic(p)
-            spec = ring.spec
-            endos = endomorphisms(ring)
-            sigma, tau = rng.sample(endos, 2)
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_power_law(self, p):
+        # D(z^k) equals the k-term twisted power sum times D(z), on every
+        # ordered pair and every power up to z^(p-1) = -(1 + ... + z^(p-2))
+        rng = random.Random(23 + p)
+        ring = make_cyclotomic(p)
+        spec = ring.spec
+        zeta = spec.basis(1)
+        endos = endomorphisms(ring)
+        for sigma, tau in ((s, t) for s in endos for t in endos if s.images != t.images):
             c = _random_coords(rng, p - 1)
             d = build_cyclotomic_derivation(ring, sigma, tau, c)
-            zeta = spec.basis(1)
-            for k in range(1, 2 * p + 1):
+            for k in range(1, p):
                 ps = sigma_tau_power_sum(spec, sigma, tau, zeta, k)
                 assert d.apply(zeta_power(ring, k)) == mul(spec, ps, c)
 
@@ -760,6 +761,23 @@ class TestSerialization:
             assert sigma2.images == sigma.images
             assert tau2.images == tau.images
             assert d2.images == d.images
+
+    @pytest.mark.parametrize("change,field", [
+        ({"images": None}, "'images'"),
+        ({"images": 7}, "'images'"),
+        ({"images": [[0, 0], ["1", 0]]}, "'images'"),
+        ({"sigma": None}, "'sigma'"),
+        ({"ring": None}, "'ring'"),
+    ])
+    def test_json_missing_or_malformed_field_named(self, change, field):
+        ring = make_quadratic(2)
+        sigma, tau = _endo(ring, "id"), _endo(ring, "conj")
+        data = derivation_to_json(ring, sigma, tau, build_quadratic_derivation(ring, ((0, 0), (1, 0))))
+        data.update(change)
+        # None stands for a field left out
+        data = {k: v for k, v in data.items() if v is not None}
+        with pytest.raises(ValueError, match=field):
+            derivation_from_json(data)
 
     def test_json_uses_names(self):
         ring = make_biquadratic(2, 3)

@@ -190,6 +190,20 @@ class TestRingJson:
         with pytest.raises(ValueError):
             ring_from_json({"family": "octic"})
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"family": "cyclotomic"}, "'p'"),
+        ({"family": "quadratic", "d": "5"}, "'d'"),
+        ({"family": "biquadratic", "m": 2}, "'n'"),
+        ({"family": "biquadratic", "m": 2, "n": None}, "'n'"),
+    ])
+    def test_missing_or_malformed_field_named(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            ring_from_json(doc)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="ring family"):
+            ring_from_json([5])
+
 
 def test_ring_types_exported():
     assert isinstance(make_cyclotomic(5), CyclotomicRing)
