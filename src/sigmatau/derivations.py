@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intlinalg
-from ._pykernels import _expand, _support
 from .algebra import (
     AlgebraSpec,
     Coords,
@@ -98,16 +97,20 @@ def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Der
 
     The twisted Leibniz law gives D(z^(k+1)) = D(z^k) tau(z) + sigma(z^k) D(z),
     two products per power, each against one power of z; any d_zeta works.
+    When tau(z) = z^(p-1) = -(1 + ... + z^(p-2)) is dense, the mirrored
+    D(z^(k+1)) = D(z) tau(z^k) + sigma(z) D(z^k) keeps both products sparse.
     """
     spec = ring.spec
     sigma, tau = _twist_pair(spec, sigma, tau)
     d_zeta = spec.element(d_zeta)
-    d_supp = _support(d_zeta)
-    t_zeta = _support(tau.images[1])
+    mirrored = tau.images[1].count(0) < sigma.images[1].count(0)
     images = [spec.zero(), d_zeta]
     for k in range(1, ring.p - 2):
-        acc = _expand(spec.table, _support(images[k]), t_zeta, [0] * spec.rank)
-        images.append(tuple(_expand(spec.table, _support(sigma.images[k]), d_supp, acc)))
+        if mirrored:
+            step = add(mul(spec, d_zeta, tau.images[k]), mul(spec, sigma.images[1], images[k]))
+        else:
+            step = add(mul(spec, images[k], tau.images[1]), mul(spec, sigma.images[k], d_zeta))
+        images.append(step)
     return Derivation(spec, images, sigma, tau)
 
 

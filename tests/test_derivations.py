@@ -122,7 +122,8 @@ class TestCyclotomicBuilder:
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
     def test_power_law(self, p):
         # D(z^k) equals the k-term twisted power sum times D(z), on every
-        # ordered pair and every power up to z^(p-1) = -(1 + ... + z^(p-2))
+        # ordered pair and every power up to z^(2p), past the wrap-around
+        # z^(p-1) = -(1 + ... + z^(p-2)), z^p = 1 (D(1) = 0) and z^(p+j) = z^j
         rng = random.Random(23 + p)
         ring = make_cyclotomic(p)
         spec = ring.spec
@@ -131,7 +132,7 @@ class TestCyclotomicBuilder:
         for sigma, tau in ((s, t) for s in endos for t in endos if s.images != t.images):
             c = _random_coords(rng, p - 1)
             d = build_cyclotomic_derivation(ring, sigma, tau, c)
-            for k in range(1, p):
+            for k in range(1, 2 * p + 1):
                 ps = sigma_tau_power_sum(spec, sigma, tau, zeta, k)
                 assert d.apply(zeta_power(ring, k)) == mul(spec, ps, c)
 
