@@ -31,20 +31,27 @@ def _parse_images(text: str) -> list[list[int]]:
     return [_parse_ints(group) for group in text.split(";")]
 
 
+_RING_FORMS = {
+    "cyclotomic": ("cyclotomic:P", 1, rings.make_cyclotomic),
+    "quadratic": ("quadratic:D", 1, rings.make_quadratic),
+    "biquadratic": ("biquadratic:M,N", 2, rings.make_biquadratic),
+}
+
+
 def _parse_ring(spec: str):
     family, _, rest = spec.partition(":")
-    if family == "cyclotomic":
-        return rings.make_cyclotomic(int(rest))
-    if family == "quadratic":
-        return rings.make_quadratic(int(rest))
-    if family == "biquadratic":
+    if family not in _RING_FORMS:
+        raise ValueError(
+            f"unknown ring {spec!r}; use cyclotomic:P, quadratic:D, or biquadratic:M,N"
+        )
+    form, arity, make = _RING_FORMS[family]
+    try:
         params = _parse_ints(rest)
-        if len(params) != 2:
-            raise ValueError(f"expected biquadratic:M,N with two integers, got {spec!r}")
-        return rings.make_biquadratic(*params)
-    raise ValueError(
-        f"unknown ring {spec!r}; use cyclotomic:P, quadratic:D, or biquadratic:M,N"
-    )
+    except ValueError:
+        params = []
+    if len(params) != arity:
+        raise ValueError(f"expected {form}, got {spec!r}")
+    return make(*params)
 
 
 def _ring_args(args):

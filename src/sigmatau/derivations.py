@@ -92,25 +92,30 @@ def _make_space(ring, maps: list[Derivation]) -> DerivationSpace:
 
 # ---------------------------------------------------------------- cyclotomic
 
+def _reindex(p: int, c, a: int, e: int) -> Coords:
+    # coordinates of sum_i c_i z^(a (i + e)) on the power basis
+    out = [0] * p
+    for i, v in enumerate(c):
+        out[a * (i + e) % p] += v
+    top = out[p - 1]
+    return tuple(v - top for v in out[:-1])
+
+
 def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Derivation:
     """Derivation with D(1) = 0, D(z) = d_zeta, and every D(z^k) forced.
 
-    The twisted Leibniz law gives D(z^(k+1)) = D(z^k) tau(z) + sigma(z^k) D(z),
-    two products per power, each against one power of z; any d_zeta works.
-    When tau(z) = z^(p-1) = -(1 + ... + z^(p-2)) is dense, the mirrored
-    D(z^(k+1)) = D(z) tau(z^k) + sigma(z) D(z^k) keeps both products sparse.
+    With sigma(z) = z^u and tau(z) = z^w, the twisted Leibniz law gives
+    D(z^(k+1)) = D(z^k) z^w + z^(uk) D(z); any d_zeta works. A product with
+    a power of z is a rotation of the coordinates, so each power is O(p).
     """
     spec = ring.spec
     sigma, tau = _twist_pair(spec, sigma, tau)
+    u = int(_endomorphism_name_of(ring, sigma.images))
+    w = int(_endomorphism_name_of(ring, tau.images))
     d_zeta = spec.element(d_zeta)
-    mirrored = tau.images[1].count(0) < sigma.images[1].count(0)
     images = [spec.zero(), d_zeta]
     for k in range(1, ring.p - 2):
-        if mirrored:
-            step = add(mul(spec, d_zeta, tau.images[k]), mul(spec, sigma.images[1], images[k]))
-        else:
-            step = add(mul(spec, images[k], tau.images[1]), mul(spec, sigma.images[k], d_zeta))
-        images.append(step)
+        images.append(add(_reindex(ring.p, images[k], 1, w), _reindex(ring.p, d_zeta, 1, u * k)))
     return Derivation(spec, images, sigma, tau)
 
 
@@ -120,15 +125,6 @@ def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
     return _make_space(ring, [
         build_cyclotomic_derivation(ring, sigma, tau, ring.spec.basis(i)) for i in range(ring.p - 1)
     ])
-
-
-def _reindex(p: int, c, a: int, e: int) -> Coords:
-    # coordinates of sum_i c_i z^(a (i + e)) on the power basis
-    out = [0] * p
-    for i, v in enumerate(c):
-        out[a * (i + e) % p] += v
-    top = out[p - 1]
-    return tuple(v - top for v in out[:-1])
 
 
 def _cyclotomic_quotient(p: int, u: int, w: int, c: Coords) -> Coords:
@@ -231,7 +227,8 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
 
     With (c0, c1) the coordinates of the image of the generator: for
     d != 1 (mod 4), inner iff 2d | c0 and 2 | c1; for d == 1 (mod 4), inner
-    iff d divides both -c0 + c1(d-1)/2 and 2c0 + c1. The witness takes tau's
+    iff d divides both t1 = -c0 + c1(d-1)/2 and t2 = 2c0 + c1. As
+    2 t1 + t2 = c1 d, d | t1 already gives d | t2. The witness takes tau's
     sign on the generator: it is negated when (sigma, tau) = (id, conj)
     rather than (conj, id).
     """
@@ -248,8 +245,6 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
         t2 = 2 * c0 + c1
         if t1 % d:
             return InnernessVerdict(False, None, f"{d} does not divide -c0 + c1*(d-1)/2 = {t1}")
-        if t2 % d:
-            return InnernessVerdict(False, None, f"{d} does not divide 2*c0 + c1 = {t2}")
         beta = (eps * (t1 // d), eps * (t2 // d))
     else:
         if c0 % (2 * d):
@@ -285,59 +280,42 @@ def classify_biquadratic(ring: BiquadraticRing, sigma, tau) -> tuple[str, int]:
     return ("I", "II", "III")[g - 1], s[g][g]
 
 
-def _case3_images(ring: BiquadraticRing, sgn: int) -> list[list[Coords]]:
-    zero = ring.spec.zero()
-    _, r, s = ring.gcd_split
-    m, n = ring.m, ring.n
-    dm = [(m, 0, 0, 0), (0, 1, 0, 0), (0, 0, r, 0), (0, 0, 0, 1)]
-    dn = [(0, 0, 0, 1), (0, 0, 1, 0), (0, s, 0, 0), (n, 0, 0, 0)]
-    return [[zero, a, smul(sgn, b), zero] for a, b in zip(dm, dn)]
-
-
 def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images) -> Derivation:
     """Derivation from the free data of the pair's case.
 
-    Case I takes D(sqrt(n)) (one coordinate vector), case II takes
-    D(sqrt(m)); the constrained image of sqrt(mn) is completed with the
-    case's sign. Case III couples D(sqrt(m)) and D(sqrt(n)): pass either
-    four integer coefficients against the case-III basis maps, or a pair
-    (D(sqrt(m)), D(sqrt(n))), which is rejected unless it satisfies
-    sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m)) over this ring; the
-    derivation law is that check.
+    Case I takes D(sqrt(n)) (one coordinate vector) with D(sqrt(m)) = 0,
+    case II takes D(sqrt(m)) with D(sqrt(n)) = 0. Case III couples
+    D(sqrt(m)) and D(sqrt(n)): pass either a pair (D(sqrt(m)), D(sqrt(n))),
+    which is rejected unless sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m)), or
+    four integer coefficients t1..t4, which give D(sqrt(m)) =
+    (m t1, t2, r t3, t4) and D(sqrt(n)) = +-(n t4, s t3, t2, t1) with
+    (k, r, s) = gcd_split. The Leibniz step then fixes
+    D(sqrt(mn)) = D(sqrt(m)) tau(sqrt(n)) + sigma(sqrt(m)) D(sqrt(n)).
     """
     spec = ring.spec
     case, sgn = classify_biquadratic(ring, sigma, tau)
-    if case != "III":
-        # free generator g, other radical h: D(sqrt(mn)) = sgn h D(g)
-        g, h = (2, 1) if case == "I" else (1, 2)
-        images = [spec.zero()] * 4
-        images[g] = spec.element(free_images)
-        images[3] = smul(sgn, mul(spec, spec.basis(h), images[g]))
-        return Derivation(spec, images, sigma, tau)
+    zero = spec.zero()
     fi = list(free_images)
-    if len(fi) == 2 and all(isinstance(v, (list, tuple)) for v in fi):
-        images = [spec.zero(), spec.element(fi[0]), spec.element(fi[1]), spec.zero()]
-        try:
-            return Derivation(spec, images, sigma, tau)
-        except ValueError:
-            raise ValueError(
-                "case III images must satisfy sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m))"
-            ) from None
-    if len(fi) == 4:
-        basis = _case3_images(ring, sgn)
-        return Derivation(spec, _combine(spec, basis, [int(v) for v in fi]), sigma, tau)
-    raise ValueError("case III expects four coefficients or a (D(sqrt(m)), D(sqrt(n))) pair")
-
-
-def _combine(spec: AlgebraSpec, basis, coeffs) -> list[Coords]:
-    images = []
-    for r in range(spec.rank):
-        acc = spec.zero()
-        for t, imgs in zip(coeffs, basis):
-            if t:
-                acc = add(acc, smul(t, imgs[r]))
-        images.append(acc)
-    return images
+    if case != "III":
+        free = spec.element(fi)
+        dm, dn = (zero, free) if case == "I" else (free, zero)
+    elif len(fi) == 2 and all(isinstance(v, (list, tuple)) for v in fi):
+        dm, dn = spec.element(fi[0]), spec.element(fi[1])
+    elif len(fi) == 4:
+        t1, t2, t3, t4 = (int(v) for v in fi)
+        _, r, s = ring.gcd_split
+        dm, dn = (ring.m * t1, t2, r * t3, t4), smul(sgn, (ring.n * t4, s * t3, t2, t1))
+    else:
+        raise ValueError("case III expects four coefficients or a (D(sqrt(m)), D(sqrt(n))) pair")
+    sigma, tau = _twist_pair(spec, sigma, tau)
+    d_mn = add(mul(spec, dm, tau.images[2]), mul(spec, sigma.images[1], dn))
+    try:
+        return Derivation(spec, [zero, dm, dn, d_mn], sigma, tau)
+    except ValueError:
+        # only a case-III pair can break the law, at (sqrt(n), sqrt(m))
+        raise ValueError(
+            "case III images must satisfy sqrt(m) D(sqrt(n)) = +-sqrt(n) D(sqrt(m))"
+        ) from None
 
 
 def biquadratic_basis(ring: BiquadraticRing, sigma, tau) -> DerivationSpace:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmatau
+from sigmatau import conjecture
 from sigmatau.cli import run
 
 
@@ -148,9 +150,16 @@ class TestMalformedInput:
         status, _, err = _run(capsys, "check", "--from-file", "-")
         _assert_clean_error(status, err, field)
 
-    def test_biquadratic_needs_two_parameters(self, capsys):
-        status, _, err = _run(capsys, "ring", "--ring", "biquadratic:2")
-        _assert_clean_error(status, err, "biquadratic:M,N")
+    @pytest.mark.parametrize("spec, form", [
+        ("biquadratic:2", "biquadratic:M,N"),
+        ("cyclotomic:x", "cyclotomic:P"),
+        ("cyclotomic:5,7", "cyclotomic:P"),
+        ("quadratic:", "quadratic:D"),
+        ("biquadratic:x,3", "biquadratic:M,N"),
+    ])
+    def test_ring_parameters_name_the_form(self, capsys, spec, form):
+        status, _, err = _run(capsys, "ring", "--ring", spec)
+        _assert_clean_error(status, err, form)
 
     def test_well_formed_document_still_checks(self, capsys, tmp_path):
         path = tmp_path / "d.json"
@@ -307,6 +316,28 @@ class TestReproduce:
         assert "table matches golden CSV byte for byte: PASS" in out
         assert "S13,16,6,5,LCD,16,10,3" in out
 
+    def _sweep_to_13(self, monkeypatch, extra=()):
+        # the section sweeps p <= 49; p <= 13 runs the same report path
+        real = conjecture.sweep
+
+        def small(p_min, p_max, jobs=1):
+            report = real(p_min, 13, jobs=jobs)
+            return dataclasses.replace(report, cases=report.cases + tuple(extra))
+
+        monkeypatch.setattr(conjecture, "sweep", small)
+
+    def test_section_sweep_passes(self, capsys, monkeypatch):
+        self._sweep_to_13(monkeypatch)
+        status, out, _ = _run(capsys, "reproduce-paper", "--section", "sweep")
+        assert status == 0
+        assert "0 failures, 0 sign mismatches: PASS" in out
+
+    def test_section_sweep_reports_a_failing_case(self, capsys, monkeypatch):
+        self._sweep_to_13(monkeypatch, [conjecture.ConjectureCase(5, 1, 2, 10)])
+        status, out, _ = _run(capsys, "reproduce-paper", "--section", "sweep")
+        assert status == 1
+        assert "1 failures, 0 sign mismatches: FAIL" in out
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -334,3 +365,15 @@ def test_import_leaves_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point():
+    # python -m sigmatau runs the same CLI through __main__.py
+    src = Path(sigmatau.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmatau", "ring", "--ring", "cyclotomic:5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "endomorphisms: 1, 2, 3, 4" in proc.stdout

@@ -119,7 +119,7 @@ class TestCyclotomicBuilder:
         assert d.images[1] == D_ZETA_P17
         assert is_derivation(ring.spec, d, sigma, tau)
 
-    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 31))
     def test_power_law(self, p):
         # D(z^k) equals the k-term twisted power sum times D(z), on every
         # ordered pair and every power up to z^(2p), past the wrap-around
@@ -129,7 +129,12 @@ class TestCyclotomicBuilder:
         spec = ring.spec
         zeta = spec.basis(1)
         endos = endomorphisms(ring)
-        for sigma, tau in ((s, t) for s in endos for t in endos if s.images != t.images):
+        pairs = [(s, t) for s in endos for t in endos if s.images != t.images]
+        if p == 31:
+            # six seeded pairs: two with sigma(z) = z^30, two with tau(z) = z^30
+            top, o = endos[-1], rng.sample(endos[:-1], 8)
+            pairs = [(top, o[0]), (top, o[1]), (o[2], top), (o[3], top), (o[4], o[5]), (o[6], o[7])]
+        for sigma, tau in pairs:
             c = _random_coords(rng, p - 1)
             d = build_cyclotomic_derivation(ring, sigma, tau, c)
             for k in range(1, 2 * p + 1):
@@ -393,6 +398,11 @@ class TestBiquadraticBuilders:
                     dm, dn = _random_coords(rng, 4, 3), _random_coords(rng, 4, 3)
                 images = [(0, 0, 0, 0), tuple(dm), tuple(dn), (0, 0, 0, 0)]
                 holds = derivation_law_holds(table, images, sigma.images, tau.images, basis_pairs)
+                if trial % 3 == 0:
+                    # the coefficient form builds the same planted map
+                    assert holds
+                    d = build_biquadratic_derivation(ring, sigma, tau, (t1, t2, t3, t4))
+                    assert d.images == tuple(images)
                 if holds:
                     d = build_biquadratic_derivation(ring, sigma, tau, (dm, dn))
                     assert d.images == tuple(images)
@@ -757,6 +767,8 @@ class TestSerialization:
         ]
         for ring, sigma, tau, d in cases:
             data = derivation_to_json(ring, sigma, tau, d)
+            # raw image tuples are named by the ring's lookup
+            assert derivation_to_json(ring, sigma.images, tau.images, d) == data
             ring2, sigma2, tau2, d2 = derivation_from_json(data)
             assert ring2.spec == ring.spec
             assert sigma2.images == sigma.images
@@ -779,6 +791,13 @@ class TestSerialization:
         data = {k: v for k, v in data.items() if v is not None}
         with pytest.raises(ValueError, match=field):
             derivation_from_json(data)
+
+    def test_json_rejects_a_map_outside_the_enumeration(self):
+        ring = make_biquadratic(2, 3)
+        d = build_biquadratic_derivation(ring, _endo(ring, "phi1"), _endo(ring, "phi2"), (1, 0, 0, 0))
+        not_an_endomorphism = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="not in the ring's enumeration"):
+            derivation_to_json(ring, not_an_endomorphism, _endo(ring, "phi2"), d)
 
     def test_json_uses_names(self):
         ring = make_biquadratic(2, 3)
