@@ -3,7 +3,8 @@
 Runs each hot kernel on identical inputs through both implementations and
 reports best-of-N wall times plus the end-to-end determinant sweep, whose
 pure-backend run happens in a subprocess with SIGMATAU_PURE=1 so the
-in-process backend choice stays untouched.
+in-process backend choice stays untouched. Kernels with no compiled twin,
+the GF(q) weight histogram, get pure-only rows, printed on either backend.
 
 Usage: python3 benchmarks/bench_kernels.py [--max-p N] [--repeat N]
 """
@@ -89,6 +90,16 @@ def bench_min_weight(rng, repeat):
     return "min_weight_gf2 k=20 n=32", compiled, pure
 
 
+def bench_weight_counts_modq(rng, k, n):
+    # GF(3) has no compiled kernel; its codes run the pure histogram
+    rows = [[rng.randrange(3) for _ in range(n)] for _ in range(k)]
+
+    def pure():
+        _pykernels.weight_counts_modq(rows, 3, n)
+
+    return f"weight_counts_modq GF(3) [{n},{k}]", pure
+
+
 def bench_sweep(max_p, out):
     t0 = time.perf_counter()
     report = sweep(3, max_p, jobs=1)
@@ -125,6 +136,11 @@ def main():
     args = parser.parse_args()
 
     out = sys.stdout
+    print(f"{'pure-only kernel':<34} {'pure s':>12}", file=out)
+    rng = random.Random(2024)
+    for k, n in ((10, 16), (12, 30)):
+        label, pure = bench_weight_counts_modq(rng, k, n)
+        print(f"{label:<34} {best_of(pure, args.repeat):>12.4f}", file=out)
     if _backend.BACKEND != "compiled":
         print("compiled extension not importable; nothing to compare", file=out)
         return 1

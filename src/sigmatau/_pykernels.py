@@ -1,10 +1,12 @@
 """Pure-Python kernels over plain ints.
 
-Two kinds live here. Twins of the compiled kernels in _kernels.pyx: those
+Three kinds live here. Twins of the compiled kernels in _kernels.pyx: those
 bail out (OverflowError) when int64 intermediates could overflow, and
-_backend falls back to the twin. And the one product through a structure
-table, _support, _expand and _apply, which algebra's mul and maps share with
-the pure law kernel. Helpers stay private so that a tracer wrapping this
+_backend falls back to the twin. The one product through a structure table,
+_support, _expand and _apply, which algebra's mul and maps share with the
+pure law kernel. And the bit-sliced weight histograms over GF(2) and GF(q),
+which differ in how they build each column's lane masks and share one lane
+counter, _tally_lanes. Helpers stay private so that a tracer wrapping this
 module's public functions sees each kernel call once, not every product in it.
 """
 
@@ -89,9 +91,36 @@ def derivation_failure(table, d, sig, tau):
     return None
 
 
-# Lanes per block of the bit-sliced GF(2) enumeration: one block's big ints
-# hold 2^14 bits (2 KB) each, so memory does not grow with 2^k.
+# Lanes per block of the bit-sliced enumerations: one block's big ints hold
+# at most 2^14 bits (2 KB) each, so memory does not grow with q^k.
 _BLOCK_BITS = 14
+
+
+def _tally_lanes(cols, full: int, offset: int, counts: list[int]) -> None:
+    """Add to counts the weight of every lane of full: offset plus the number
+    of masks in cols that hold the lane. counts has one slot per weight."""
+    # a ripple counter of bit planes adds the columns of every lane at once
+    depth = (len(counts) - 1).bit_length()
+    planes = [0] * depth
+    for x in cols:
+        for j in range(depth):
+            p = planes[j]
+            planes[j] = p ^ x
+            x &= p
+            if not x:
+                break
+    # split the lanes by the planes, top plane first, and count each leaf
+    stack = [(full, depth - 1, offset)]
+    while stack:
+        s, j, w = stack.pop()
+        if j < 0:
+            counts[w] += s.bit_count()
+            continue
+        one = s & planes[j]
+        if one:
+            stack.append((one, j - 1, w + (1 << j)))
+        if one != s:
+            stack.append((s ^ one, j - 1, w))
 
 
 def weight_counts_gf2(masks, n: int) -> list[int]:
@@ -107,8 +136,7 @@ def _weight_counts_gf2(masks, n: int) -> list[int]:
     # kernel (as perfbench's tracer does) leaves its time with the caller.
     # Bit-sliced: lane m of a big int holds one coordinate of the codeword of
     # message m. The low rows span the lanes of a block; the high rows step
-    # in Gray order, one XOR per block, and flip whole columns. A ripple
-    # counter of bit planes adds the n columns of every lane at once.
+    # in Gray order, one XOR per block, and flip whole columns.
     k = len(masks)
     low = min(k, _BLOCK_BITS)
     lanes = 1 << low
@@ -126,58 +154,60 @@ def _weight_counts_gf2(masks, n: int) -> list[int]:
     # columns the low rows never touch are constant on a block
     const = sum(1 << c for c in range(n) if not cols[c])
     live = [(c, x) for c, x in enumerate(cols) if x]
-    depth = n.bit_length()
     counts = [0] * (n + 1)
     high = 0
     for h in range(1 << (k - low)):
         if h:
             high ^= masks[low + (h & -h).bit_length() - 1]
-        planes = [0] * depth
-        for c, x in live:
-            if high >> c & 1:
-                x ^= full
-            for j in range(depth):
-                p = planes[j]
-                planes[j] = p ^ x
-                x &= p
-                if not x:
-                    break
-        # split the lanes by the planes, top plane first, and count each leaf
-        offset = (high & const).bit_count()
-        stack = [(full, depth - 1, offset)]
-        while stack:
-            s, j, w = stack.pop()
-            if j < 0:
-                counts[w] += s.bit_count()
-                continue
-            one = s & planes[j]
-            if one:
-                stack.append((one, j - 1, w + (1 << j)))
-            if one != s:
-                stack.append((s ^ one, j - 1, w))
+        flipped = [x ^ full if high >> c & 1 else x for c, x in live]
+        _tally_lanes(flipped, full, (high & const).bit_count(), counts)
     if sum(counts) != 1 << k:
         raise AssertionError("bit-sliced weight counts do not sum to 2^k")
     return counts
 
 
 def weight_counts_modq(rows, q: int, n: int) -> list[int]:
-    """Weight histogram (length n+1) over all q**k codewords, zero included.
+    """Weight histogram (length n+1) over all q**k messages, zero included.
 
-    rows are the k generator rows, each a sequence of n residues mod q; the
-    odometer passes the running codeword down, one row multiple per level.
+    rows are the k generator rows, each a sequence of n residues mod q, q
+    prime. Bit-sliced as over GF(2): lane m holds the codeword of the low
+    message whose base-q digits are m's, and the high rows step in modular
+    q-ary Gray order, shifting whole columns by one row each step.
     """
-    counts = [0] * (n + 1)
     k = len(rows)
-
-    def rec(i: int, cur: list[int]) -> None:
-        if i == k:
-            counts[n - cur.count(0)] += 1
-            return
-        row = rows[i]
-        rec(i + 1, cur)
-        for _ in range(q - 1):
-            cur = [(a + b) % q for a, b in zip(cur, row)]
-            rec(i + 1, cur)
-
-    rec(0, [0] * n)
+    low = 0
+    while low < k and q ** (low + 1) <= 1 << _BLOCK_BITS:
+        low += 1
+    full = (1 << q ** low) - 1
+    # Column c's one-hot masks hot[v] hold the lanes whose low part of
+    # coordinate c is v. Low row r adds digit d times rows[r][c] to the
+    # lanes shifted by d q^r. Once built, nonzero[s] holds the lanes where
+    # the low part plus s is nonzero mod q.
+    live = []
+    const = []
+    for c in range(n):
+        hot = [1] + [0] * (q - 1)
+        span = 1
+        for r in range(low):
+            g = rows[r][c] % q
+            hot = [sum(hot[(v - d * g) % q] << d * span for d in range(q)) for v in range(q)]
+            span *= q
+        if hot[0] == full:
+            const.append(c)  # the low rows never touch column c
+        else:
+            live.append((c, [full ^ hot[-s % q] for s in range(q)]))
+    counts = [0] * (n + 1)
+    shift = [0] * n  # the high message's coordinates, mod q
+    for h in range(q ** (k - low)):
+        if h:
+            # digit v_q(h) of the high message steps by one
+            r, t = low, h
+            while t % q == 0:
+                t //= q
+                r += 1
+            shift = [(a + b) % q for a, b in zip(shift, rows[r])]
+        cols = [nonzero[shift[c]] for c, nonzero in live]
+        _tally_lanes(cols, full, sum(1 for c in const if shift[c]), counts)
+    if sum(counts) != q ** k:
+        raise AssertionError("bit-sliced weight counts do not sum to q^k")
     return counts

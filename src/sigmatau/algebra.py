@@ -48,10 +48,12 @@ class AlgebraSpec:
     def __init__(self, table, unity, labels=None):
         n = len(table)
         tab = []
+        cells: dict[Coords, Coords] = {}  # one tuple per distinct cell
         for row in table:
             if len(row) != n:
                 raise ValueError("structure table must be n x n")
-            tab.append(tuple(_coords(cell, n) for cell in row))
+            coords = (_coords(cell, n) for cell in row)
+            tab.append(tuple(cells.setdefault(t, t) for t in coords))
         self.table: tuple = tuple(tab)
         self.rank: int = n
         self.unity: Coords = _coords(unity, n)

@@ -8,12 +8,13 @@ distance from exhaustive codeword enumeration, duals from the nullspace, and
 the LCD property from det(G G^T) mod q.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
-q^k exceeds the codeword budget. Over GF(2) the pure backend enumerates
-bit-sliced: each bit of a big int is one message's coordinate, so one integer
-operation advances 2^14 codewords, and a ripple counter of bit planes yields
-the exact weight histogram. Over GF(q > 2) one base-q odometer yields the
-weight histogram, which is cached with the minimum distance read off it, so
-a code is enumerated once whichever of the two is asked for first.
+q^k exceeds the codeword budget. The pure backend enumerates bit-sliced:
+each bit of a big int is one message's coordinate, so one integer operation
+advances up to 2^14 codewords, and a ripple counter of bit planes yields the
+exact weight histogram. Over GF(q > 2) each column keeps q one-hot lane
+masks, one per residue, and the histogram is cached with the minimum
+distance read off it, so a code is enumerated once whichever of the two is
+asked for first.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     Never approximates: when q^k exceeds the budget the enumeration is
     refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
     when the extension is built, else the bit-sliced weight histogram; over
-    GF(q > 2) the minimum is read off weight_distribution, which caches both.
+    GF(q > 2) the minimum is read off weight_distribution's bit-sliced
+    histogram, which caches both.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
@@ -166,10 +168,10 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Counts of codewords by Hamming weight, indices 0..n, zero word included.
 
-    Every one of the q^k codewords is enumerated (bit-sliced over GF(2)), so
-    the budget refuses the same codes as min_distance. The minimum distance
-    read off the counts fills min_distance's cache, or is cross-checked
-    against it when a GF(2) min_distance call filled it first.
+    Every one of the q^k codewords is enumerated, bit-sliced over every
+    field, so the budget refuses the same codes as min_distance. The
+    minimum distance read off the counts fills min_distance's cache, or is
+    cross-checked against it when a GF(2) min_distance call filled it first.
     """
     if code._wd is not None:
         return code._wd

@@ -8,6 +8,7 @@ deciders compute beta exactly or name the divisibility that fails.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -302,7 +303,7 @@ def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images)
     elif len(fi) == 2 and all(isinstance(v, (list, tuple)) for v in fi):
         dm, dn = spec.element(fi[0]), spec.element(fi[1])
     elif len(fi) == 4:
-        t1, t2, t3, t4 = (int(v) for v in fi)
+        t1, t2, t3, t4 = map(operator.index, fi)
         _, r, s = ring.gcd_split
         dm, dn = (ring.m * t1, t2, r * t3, t4), smul(sgn, (ring.n * t4, s * t3, t2, t1))
     else:

@@ -63,9 +63,10 @@ def make_cyclotomic(p: int) -> CyclotomicRing:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p - 1
-    table = [[_zeta_power(p, i + j) for j in range(n)] for i in range(n)]
+    powers = [_zeta_power(p, e) for e in range(p)]
+    table = [[powers[(i + j) % p] for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"z^{i}" if i > 1 else "z" for i in range(1, n)]
-    spec = AlgebraSpec(table, _zeta_power(p, 0), labels)
+    spec = AlgebraSpec(table, powers[0], labels)
     return CyclotomicRing(p, spec)
 
 

@@ -123,6 +123,26 @@ def naive_weight_counts(generator_rows, q, n):
     return counts
 
 
+def odometer_weight_counts(rows, q, n):
+    """Weight histogram over all q**k messages, zero included, by a base-q
+    odometer that passes the running codeword down one row multiple per level."""
+    counts = [0] * (n + 1)
+    k = len(rows)
+
+    def rec(i, cur):
+        if i == k:
+            counts[n - cur.count(0)] += 1
+            return
+        row = rows[i]
+        rec(i + 1, cur)
+        for _ in range(q - 1):
+            cur = [(a + b) % q for a, b in zip(cur, row)]
+            rec(i + 1, cur)
+
+    rec(0, [0] * n)
+    return counts
+
+
 def ring_multiply(table, x, y):
     n = len(table)
     out = [0] * n

@@ -25,7 +25,7 @@ from sigmatau.derivations import build_cyclotomic_derivation
 from sigmatau.intlinalg import rref_mod_q
 from sigmatau.rings import endomorphism_by_name, make_cyclotomic, make_quadratic
 
-from .oracles import naive_min_distance, naive_weight_counts
+from .oracles import naive_min_distance, naive_weight_counts, odometer_weight_counts
 
 
 def _reference_matrix():
@@ -245,6 +245,20 @@ class TestWeightDistribution:
                 [list(r) for r in code.standard_form], q, n
             )
             assert list(weight_distribution(code)) == expected
+
+    def test_ternary_reference_code_matches_odometer(self):
+        # rows 2..11 of the p = 17 reference matrix are independent mod 3: a
+        # [16, 10] code whose 3^10 words span several bit-sliced blocks
+        b = _reference_matrix()
+        t = list(range(2, 12))
+        code = hom_idd_code(b, t, 3)
+        assert (code.n, code.k) == (16, 10)
+        want = odometer_weight_counts(code.standard_form, 3, 16)
+        assert list(weight_distribution(code)) == want
+        fresh = hom_idd_code(b, t, 3)
+        assert min_distance(fresh) == min(w for w in range(1, 17) if want[w])
+        dual = dual_code(code)
+        assert list(weight_distribution(dual)) == odometer_weight_counts(dual.standard_form, 3, 16)
 
     def test_budget_refusal(self):
         code = LinearCode(3, 4, [[1, 0, 1, 1], [0, 1, 2, 0]])

@@ -360,6 +360,15 @@ class TestBiquadraticBuilders:
             build_biquadratic_derivation(ring, _endo(ring, "phi1"), _endo(ring, "phi4"), ((0, 1, 0, 0), (0, 0, 2, 0))
             )
 
+    def test_case_three_coefficients_must_be_integers(self):
+        ring = make_biquadratic(2, 3)
+        sigma, tau = _endo(ring, "phi1"), _endo(ring, "phi4")
+        for bad in ((1.9, 0, 0, 2), (1, 0, 0, "2")):
+            with pytest.raises(TypeError):
+                build_biquadratic_derivation(ring, sigma, tau, bad)
+        d = build_biquadratic_derivation(ring, sigma, tau, (1, 0, 0, 2))
+        assert d.images[1] == (2, 0, 0, 2)  # D(sqrt(2)) = (m t1, t2, r t3, t4)
+
     def test_case_three_arity_rejected(self):
         ring = make_biquadratic(2, 3)
         with pytest.raises(ValueError, match="four coefficients"):

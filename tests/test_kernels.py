@@ -15,6 +15,7 @@ from .oracles import (
     gray_min_weight_gf2,
     naive_min_distance,
     naive_weight_counts,
+    odometer_weight_counts,
 )
 
 compiled = pytest.mark.skipif(
@@ -342,16 +343,16 @@ class TestBackendContract:
                 if kernels is not None:
                     assert kernels.min_weight_gf2_u64(masks, start, stop) == want
 
-    def test_modq_odometer_counts(self):
+    def test_modq_counts_small_code(self):
         rows = [[1, 2, 0], [0, 1, 1]]
         counts = _pykernels.weight_counts_modq(rows, 3, 3)
         assert sum(counts) == 9
         assert counts[0] == 1
         assert naive_min_distance(rows, 3) == min(w for w in range(1, 4) if counts[w])
 
-    def test_modq_odometer_matches_naive(self):
-        # the kernel counts all q^k messages; the oracle counts distinct words,
-        # each of which q^(k - rank) messages reach
+    def test_modq_matches_naive(self):
+        # the kernel and the odometer count all q^k messages; the naive oracle
+        # counts distinct words, each of which q^(k - rank) messages reach
         rng = random.Random(113)
         for q in (3, 5, 7):
             for k in range(5):
@@ -366,3 +367,46 @@ class TestBackendContract:
                     reach = q ** k // sum(want)
                     got = _pykernels.weight_counts_modq([tuple(r) for r in rows], q, n)
                     assert got == [c * reach for c in want]
+                    assert odometer_weight_counts(rows, q, n) == got
+
+
+def _planted_modq_rows(rng, q, k, n):
+    """Random rows mod q with the shapes the bit-sliced kernel special-cases:
+    column 0 is zero on every row but the last, so the low rows never touch
+    it; the second-to-last row repeats the first, one row is a combination
+    of two others and one is zero. Past one block the last rows are high."""
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    if k >= 3:
+        rows[-2] = list(rows[0])
+    if k >= 4:
+        rows[k // 2] = [(a + (q - 1) * b) % q for a, b in zip(rows[1], rows[2])]
+    if k >= 5:
+        rows[3] = [0] * n
+    if n and k:
+        for row in rows:
+            row[0] = 0
+        rows[-1][0] = 1
+    return rows
+
+
+class TestModqBitSliced:
+    """The bit-sliced GF(q) histogram against the base-q odometer."""
+
+    def test_matches_odometer_within_one_block(self):
+        rng = random.Random(131)
+        for q in (3, 5, 7):
+            for k in range(6):
+                for _ in range(3):
+                    n = rng.randint(0, 20)
+                    rows = _planted_modq_rows(rng, q, k, n)
+                    want = odometer_weight_counts(rows, q, n)
+                    assert _pykernels.weight_counts_modq(rows, q, n) == want
+
+    # q^k > 2^14 in each case, so the high rows step through several blocks
+    @pytest.mark.parametrize(
+        "q, k, n", [(3, 9, 20), (3, 10, 16), (3, 11, 12), (5, 7, 14), (7, 5, 20), (7, 6, 10)]
+    )
+    def test_matches_odometer_past_one_block(self, q, k, n):
+        rng = random.Random(q * 100 + k)
+        rows = _planted_modq_rows(rng, q, k, n)
+        assert _pykernels.weight_counts_modq(rows, q, n) == odometer_weight_counts(rows, q, n)

@@ -36,6 +36,16 @@ class TestCyclotomic:
         assert zeta_power(ring, 6) == (0, 1, 0, 0)
         assert zeta_power(ring, 4) == (-1, -1, -1, -1)
 
+    def test_table_holds_one_tuple_per_power(self):
+        p = 31
+        table = make_cyclotomic(p).spec.table
+        assert len({id(cell) for row in table for cell in row}) <= p
+        top = (-1,) * (p - 1)  # z^(p-1) = -(1 + z + ... + z^(p-2))
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                e = (i + j) % p
+                assert cell == (top if e == p - 1 else tuple(int(t == e) for t in range(p - 1)))
+
     def test_endomorphism_count_and_names(self):
         ring = make_cyclotomic(11)
         endos = endomorphisms(ring)
