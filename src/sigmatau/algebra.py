@@ -27,6 +27,20 @@ def _coords(x: Sequence[int], n: int) -> Coords:
     return t
 
 
+def _power_table(top: Coords) -> tuple:
+    """Table of Z[x]/(x^n - top) on 1, x, ..., x^(n-1).
+
+    Cell (i, j) is x^(i+j), one shared tuple per power. Each power is x times
+    the previous one: its shift plus its last coordinate times top.
+    """
+    n = len(top)
+    powers = [tuple(int(r == k) for r in range(n)) for k in range(n)]
+    for _ in range(n - 1):
+        v = powers[-1]
+        powers.append(tuple(a + v[-1] * b for a, b in zip((0,) + v[:-1], top)))
+    return tuple(tuple(powers[i : i + n]) for i in range(n))
+
+
 class AlgebraSpec:
     """Finite-rank commutative unital algebra given by structure constants.
 
@@ -34,13 +48,11 @@ class AlgebraSpec:
     associativity is an O(n^4) scan left to associativity_failure so large
     algebras stay cheap to build.
 
-    It also decides, in O(n^3) and without mul, whether the table is exactly
-    multiplication in Z[x]/(f) on the power basis 1, x, ..., x^(n-1) with
-    x = e_1: unity is e_0, e_i * e_0 = e_i, and every cell e_i * e_j is x
-    times its left neighbour e_i * e_(j-1). The result is power_basis. A
-    table that passes is associative and commutative by construction, and
-    its endomorphisms and (sigma, tau)-derivations are fixed by the image
-    of x, which endomorphism_failure and is_inner_generic use.
+    power_basis records whether unity is e_0 and the table equals
+    _power_table(x^n) with x = e_1 and x^n read off cell (n-1, 1): then it is
+    Z[x]/(f) on 1, x, ..., x^(n-1), associative by construction, and its
+    endomorphisms and (sigma, tau)-derivations are fixed by the image of x,
+    which endomorphism_failure and is_inner_generic use.
     """
 
     __slots__ = ("rank", "table", "unity", "labels", "power_basis", "_hash")
@@ -76,26 +88,9 @@ class AlgebraSpec:
 
     def _is_power_basis(self) -> bool:
         n = self.rank
-        table = self.table
         if n == 0 or self.unity != self.basis(0):
             return False
-        if any(table[i][0] != self.basis(i) for i in range(n)):
-            return False
-        if n == 1:
-            return True
-        # x v is the shift of v plus v[n-1] x^n, with x^n = e_(n-1) * e_1; the
-        # cells (i, 1) pin that down as multiplication by x on the basis
-        top = table[n - 1][1]
-        for row in table:
-            for j in range(1, n):
-                v = row[j - 1]
-                c = v[n - 1]
-                xv = (0,) + v[:-1]
-                if c:
-                    xv = tuple(a + c * b for a, b in zip(xv, top))
-                if row[j] != xv:
-                    return False
-        return True
+        return n == 1 or self.table == _power_table(self.table[n - 1][1])
 
     def basis(self, i: int) -> Coords:
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -124,10 +119,6 @@ def add(a: Sequence[int], b: Sequence[int]) -> Coords:
 
 def sub(a: Sequence[int], b: Sequence[int]) -> Coords:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def neg(a: Sequence[int]) -> Coords:
-    return tuple(-x for x in a)
 
 
 def smul(k: int, a: Sequence[int]) -> Coords:

@@ -89,7 +89,7 @@ def _print_table(headers: list[str], rows: list[list[str]], out) -> None:
 
 def _cmd_ring(args, out) -> int:
     ring = _parse_ring(args.ring)
-    endos = [e.name for e in rings.endomorphisms(ring)]
+    endos = rings._endomorphism_names(ring)
     if args.format == "json":
         doc = rings.ring_to_json(ring)
         doc["rank"] = ring.spec.rank

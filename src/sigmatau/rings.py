@@ -8,6 +8,9 @@ Three families:
   Z[theta] with theta = (1 + sqrt(d))/2, theta^2 = (d-1)/4 + theta, when
   d == 1 (mod 4); the conjugation sends theta to 1 - theta;
 * biquadratic ring Z[sqrt(m), sqrt(n)], basis {1, sqrt(m), sqrt(n), sqrt(mn)}.
+
+The first two are Z[x]/(f) on a power basis, so their tables come from x^n
+alone (algebra._power_table); the biquadratic table is written out.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraSpec, Coords, Endomorphism
+from .algebra import AlgebraSpec, Coords, Endomorphism, _power_table
 from .intlinalg import is_prime
 
 
@@ -41,8 +44,12 @@ class CyclotomicRing:
 @dataclass(frozen=True, slots=True)
 class QuadraticRing:
     d: int
-    one_mod4: bool
     spec: AlgebraSpec
+
+    @property
+    def one_mod4(self) -> bool:
+        """True when the basis is 1, theta rather than 1, sqrt(d)."""
+        return self.d % 4 == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,20 +70,10 @@ def make_cyclotomic(p: int) -> CyclotomicRing:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p - 1
-    powers = [_zeta_power(p, e) for e in range(p)]
-    table = [[powers[(i + j) % p] for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"z^{i}" if i > 1 else "z" for i in range(1, n)]
-    spec = AlgebraSpec(table, powers[0], labels)
-    return CyclotomicRing(p, spec)
-
-
-def _zeta_power(p: int, e: int) -> Coords:
-    # z^(p-1) = -(1 + z + ... + z^(p-2)); every other power is a basis element
-    n = p - 1
-    e %= p
-    if e < n:
-        return tuple(1 if t == e else 0 for t in range(n))
-    return tuple([-1] * n)
+    # z^(p-1) = -(1 + z + ... + z^(p-2)); folding once more gives z^p = 1
+    table = _power_table((-1,) * n)
+    return CyclotomicRing(p, AlgebraSpec(table, table[0][0], labels))
 
 
 def zeta_power(ring: CyclotomicRing, e: int) -> Coords:
@@ -92,19 +89,9 @@ def make_quadratic(d: int) -> QuadraticRing:
         raise ValueError("d must differ from 0 and 1")
     if not _is_square_free(d):
         raise ValueError(f"d must be square-free, got {d}")
-    if d % 4 == 1:
-        table = [
-            [(1, 0), (0, 1)],
-            [(0, 1), ((d - 1) // 4, 1)],
-        ]
-        spec = AlgebraSpec(table, (1, 0), ["1", "theta"])
-        return QuadraticRing(d, True, spec)
-    table = [
-        [(1, 0), (0, 1)],
-        [(0, 1), (d, 0)],
-    ]
-    spec = AlgebraSpec(table, (1, 0), ["1", f"sqrt({d})"])
-    return QuadraticRing(d, False, spec)
+    top, label = (((d - 1) // 4, 1), "theta") if d % 4 == 1 else ((d, 0), f"sqrt({d})")
+    table = _power_table(top)
+    return QuadraticRing(d, AlgebraSpec(table, table[0][0], ["1", label]))
 
 
 def make_biquadratic(m: int, n: int) -> BiquadraticRing:

@@ -277,6 +277,45 @@ class TestPowerBasisGuard:
         assert spec.power_basis
         assert associativity_failure(spec) is None
 
+    @pytest.mark.parametrize("top", [
+        *((0,) * n for n in range(1, 9)),
+        *(tuple(random.Random(n).randrange(-5, 6) for _ in range(n)) for n in range(1, 9)),
+        *((-1,) * (p - 1) for p in (3, 5, 7)),
+        *((((d - 1) // 4, 1) if d % 4 == 1 else (d, 0)) for d in (-7, -3, -1, 2, 5, 13)),
+    ])
+    def test_power_table_matches_the_oracle(self, top):
+        n = len(top)
+        table = algebra._power_table(top)
+        assert table == tuple(map(tuple, _power_basis_table(top)))
+        # one shared tuple per power x^(i+j)
+        assert all(table[i][j] is table[i + 1][j - 1] for i in range(n - 1) for j in range(1, n))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bumped_power_table(self, n):
+        """Bumping a diagonal cell or a symmetric pair leaves a table that is
+        rejected or not a power basis, unless the bump is x^n = e_1 e_(n-1)
+        itself and the result is the table of the bumped f."""
+        rng = random.Random(n)
+        base = _power_basis_table(tuple(rng.randrange(-3, 4) for _ in range(n)))
+        built = 0
+        for i in range(n):
+            for j in range(i, n):
+                for r in range(n):
+                    table = [list(row) for row in base]
+                    cell = list(table[i][j])
+                    cell[r] += 1
+                    table[i][j] = table[j][i] = tuple(cell)
+                    try:
+                        spec = AlgebraSpec(table, (1,) + (0,) * (n - 1))
+                    except ValueError:
+                        continue
+                    built += 1
+                    oracle = tuple(map(tuple, _power_basis_table(spec.table[n - 1][1])))
+                    assert spec.power_basis == (spec.table == oracle)
+                    if (i, j) != (1, n - 1):
+                        assert not spec.power_basis
+        assert built == n * n * (n - 1) // 2  # every bump outside row and column 0
+
     @pytest.mark.parametrize("spec", [
         make_biquadratic(2, 3).spec,
         _swapped(make_cyclotomic(5).spec, 1, 2),

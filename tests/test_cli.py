@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmatau
-from sigmatau import conjecture
+from sigmatau import algebra, conjecture, rings
 from sigmatau.cli import run
 
 
@@ -41,6 +41,18 @@ class TestRing:
         status, out, _ = _run(capsys, "ring", "--ring", "cyclotomic:61", "--format", "json")
         assert status == 0
         assert json.loads(out)["endomorphisms"] == [str(u) for u in range(1, 61)]
+
+    @pytest.mark.parametrize("spec", ["cyclotomic:13", "quadratic:-3", "quadratic:5", "biquadratic:2,3"])
+    def test_lists_names_without_checking_maps(self, capsys, monkeypatch, spec):
+        calls = []
+        check = algebra.endomorphism_failure
+        monkeypatch.setattr(algebra, "endomorphism_failure", lambda *a: calls.append(a) or check(*a))
+        status, out, _ = _run(capsys, "ring", "--ring", spec, "--format", "json")
+        assert status == 0
+        assert calls == []
+        doc = json.loads(out)
+        ring = rings.ring_from_json(doc)
+        assert doc["endomorphisms"] == [e.name for e in rings.endomorphisms(ring)]
 
     def test_unknown_family(self, capsys):
         status, _, err = _run(capsys, "ring", "--ring", "octic:2")

@@ -17,6 +17,15 @@ from sigmatau.rings import (
 )
 
 
+def _zeta_power(p, e):
+    """z^e on 1, z, ..., z^(p-2), with z^(p-1) = -(1 + z + ... + z^(p-2))."""
+    n = p - 1
+    e %= p
+    if e < n:
+        return tuple(1 if t == e else 0 for t in range(n))
+    return tuple([-1] * n)
+
+
 class TestCyclotomic:
     def test_rank_and_labels(self):
         ring = make_cyclotomic(7)
@@ -36,15 +45,13 @@ class TestCyclotomic:
         assert zeta_power(ring, 6) == (0, 1, 0, 0)
         assert zeta_power(ring, 4) == (-1, -1, -1, -1)
 
-    def test_table_holds_one_tuple_per_power(self):
-        p = 31
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_table_holds_one_tuple_per_power(self, p):
         table = make_cyclotomic(p).spec.table
         assert len({id(cell) for row in table for cell in row}) <= p
-        top = (-1,) * (p - 1)  # z^(p-1) = -(1 + z + ... + z^(p-2))
         for i, row in enumerate(table):
             for j, cell in enumerate(row):
-                e = (i + j) % p
-                assert cell == (top if e == p - 1 else tuple(int(t == e) for t in range(p - 1)))
+                assert cell == _zeta_power(p, i + j)
 
     def test_endomorphism_count_and_names(self):
         ring = make_cyclotomic(11)
@@ -112,6 +119,16 @@ class TestQuadratic:
             for i in range(2):
                 x = ring.spec.basis(i)
                 assert conj.apply(conj.apply(x)) == x
+
+    @pytest.mark.parametrize("d", [
+        d for d in range(-50, 51) if d not in (0, 1) and all(d % (k * k) for k in range(2, 8))
+    ])
+    def test_literal_tables(self, d):
+        if d % 4 == 1:
+            table = [[(1, 0), (0, 1)], [(0, 1), ((d - 1) // 4, 1)]]
+        else:
+            table = [[(1, 0), (0, 1)], [(0, 1), (d, 0)]]
+        assert [list(row) for row in make_quadratic(d).spec.table] == table
 
     def test_endomorphism_count(self):
         assert [e.name for e in endomorphisms(make_quadratic(7))] == ["id", "conj"]
