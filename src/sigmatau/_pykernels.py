@@ -3,14 +3,16 @@
 Three kinds live here. Twins of the compiled kernels in _kernels.pyx: those
 bail out (OverflowError) when int64 intermediates could overflow, and
 _backend falls back to the twin. The one product through a structure table,
-_support, _expand and _apply, which algebra's mul and maps share with the
-pure law kernel. And the bit-sliced weight histograms over GF(2) and GF(q),
-which differ in how they build each column's lane masks and share one lane
-counter, _tally_lanes. Helpers stay private so that a tracer wrapping this
-module's public functions sees each kernel call once, not every product in it.
+_support, _expand and _apply, shared by algebra's mul and maps and by
+_law_failure, the one basis-pair law scan. And the bit-sliced weight
+histograms over GF(2) and GF(q), which differ in how they build each
+column's lane masks and share one lane counter, _tally_lanes. Helpers stay
+private, so a tracer wrapping the public ones sees no product in a kernel.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 
 def det_bareiss(rows) -> int:
@@ -80,14 +82,18 @@ def derivation_failure(table, d, sig, tau):
     (row i = coordinates of the image of basis element i). Returns None when
     the twisted Leibniz law holds on every pair, scanning in row-major order.
     """
+    return _law_failure(table, d, sig, tau, product(range(len(table)), repeat=2))
+
+
+def _law_failure(table, d, sig, tau, pairs):
+    # derivation_failure's law on the given pairs, in their order
     n = len(table)
     d_supp, s_supp, t_supp = ([_support(row) for row in m] for m in (d, sig, tau))
-    for i in range(n):
-        for j in range(n):
-            rhs = _expand(table, d_supp[i], t_supp[j], [0] * n)
-            _expand(table, s_supp[i], d_supp[j], rhs)
-            if _apply(d, table[i][j]) != tuple(rhs):
-                return (i, j)
+    for i, j in pairs:
+        rhs = _expand(table, d_supp[i], t_supp[j], [0] * n)
+        _expand(table, s_supp[i], d_supp[j], rhs)
+        if _apply(d, table[i][j]) != tuple(rhs):
+            return (i, j)
     return None
 
 

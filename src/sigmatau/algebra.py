@@ -3,7 +3,8 @@
 An algebra of rank n is described by an n x n x n integer tensor: table[i][j]
 is the coordinate vector of basis_i * basis_j. Elements are coordinate tuples
 and all arithmetic is exact: products and images of maps come from
-_pykernels._expand and _apply, which the pure law kernel shares. Twisted maps
+_pykernels._expand and _apply, and the endomorphism and associativity
+checks are the pure law kernel's pair scan with sigma = 0. Twisted maps
 come in three flavours: LinearMap (arbitrary images of the basis), and
 Endomorphism and Derivation, checked at construction to be unital
 multiplicative and a (sigma, tau)-derivation.
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from itertools import product
 
 from . import _backend
-from ._pykernels import _apply, _expand, _support
+from ._pykernels import _apply, _expand, _law_failure, _support
 
 Coords = tuple[int, ...]
 
@@ -217,18 +219,11 @@ def endomorphism_failure(spec: AlgebraSpec, m) -> tuple | None:
     if _apply(imgs, spec.unity) != spec.unity:
         return ("unity",)
     n = spec.rank
+    zero = (spec.zero(),) * n
     if spec.power_basis and n > 1:
-        if _product_failure(spec, imgs, ((k, 1) for k in range(n))) is None:
+        if _law_failure(spec.table, imgs, zero, imgs, ((k, 1) for k in range(n))) is None:
             return None
-    return _product_failure(spec, imgs, ((i, j) for i in range(n) for j in range(i, n)))
-
-
-def _product_failure(spec: AlgebraSpec, imgs, pairs) -> tuple[int, int] | None:
-    # first basis pair (i, j) with m(ei*ej) != m(ei)m(ej)
-    for i, j in pairs:
-        if _apply(imgs, spec.table[i][j]) != mul(spec, imgs[i], imgs[j]):
-            return (i, j)
-    return None
+    return _law_failure(spec.table, imgs, zero, imgs, ((i, j) for i in range(n) for j in range(i, n)))
 
 
 def is_endomorphism(spec: AlgebraSpec, m) -> bool:
@@ -239,13 +234,12 @@ def is_endomorphism(spec: AlgebraSpec, m) -> bool:
 def associativity_failure(spec: AlgebraSpec) -> tuple | None:
     """First basis triple (i, j, k) with (ei*ej)*ek != ei*(ej*ek), else None."""
     n = spec.rank
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = mul(spec, spec.table[i][j], spec.basis(k))
-                rhs = mul(spec, spec.basis(i), spec.table[j][k])
-                if lhs != rhs:
-                    return (i, j, k)
+    zero = (spec.zero(),) * n
+    ident = tuple(spec.basis(i) for i in range(n))
+    for i, left in enumerate(spec.table):  # the law for D = (x -> ei*x), tau = id
+        pair = _law_failure(spec.table, left, zero, ident, product(range(n), repeat=2))
+        if pair is not None:
+            return (i, *pair)
     return None
 
 

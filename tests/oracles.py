@@ -175,6 +175,16 @@ def derivation_law_holds(table, d_images, s_images, t_images, pairs):
     return True
 
 
+def associativity_triple_loop(table):
+    """First basis triple (i, j, k) in row-major order with
+    (ei*ej)*ek != ei*(ej*ek), multiplying both sides out, else None."""
+    units = basis_elements(len(table))
+    for i, j, k in product(range(len(table)), repeat=3):
+        if ring_multiply(table, table[i][j], units[k]) != ring_multiply(table, units[i], table[j][k]):
+            return (i, j, k)
+    return None
+
+
 def basis_elements(n):
     return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from sigmatau import algebra
+from sigmatau._pykernels import _law_failure
 from sigmatau.algebra import (
     AlgebraSpec,
     Endomorphism,
@@ -33,7 +34,13 @@ from sigmatau.rings import (
 )
 
 from .counterexamples import ALL_COUNTEREXAMPLES
-from .oracles import apply_linear, basis_elements, derivation_law_holds, ring_multiply
+from .oracles import (
+    apply_linear,
+    associativity_triple_loop,
+    basis_elements,
+    derivation_law_holds,
+    ring_multiply,
+)
 
 Z5 = make_cyclotomic(5)
 
@@ -94,6 +101,43 @@ class TestSpecValidation:
         for _, build, _ in ALL_COUNTEREXAMPLES:
             spec, _, _, _ = build()
             assert associativity_failure(spec) is None
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_cyclotomic(7).spec,
+        lambda: make_quadratic(-3).spec,
+        lambda: make_biquadratic(2, 3).spec,
+        lambda: NON_ASSOCIATIVE,
+    ])
+    def test_cell_forms_build_the_same_spec(self, make):
+        spec = make()
+        n = spec.rank
+        nested = [[list(cell) for cell in row] for row in spec.table]
+        shared = {cell: list(cell) for row in spec.table for cell in row}
+        reused = [[shared[cell] for cell in row] for row in spec.table]
+        for table in (nested, spec.table, reused):
+            built = AlgebraSpec(table, list(spec.unity))
+            assert built == spec
+            assert built.table == spec.table
+            assert built.unity == spec.unity
+            assert built.power_basis == spec.power_basis
+            assert hash(built) == hash(spec)
+            # equal cells share one tuple, however the input held them
+            assert all(
+                built.table[i][j] is built.table[k][m]
+                for i, j, k, m in itertools.product(range(n), repeat=4)
+                if spec.table[i][j] == spec.table[k][m]
+            )
+
+    def test_malformed_cell_rejected(self):
+        table = [[list(cell) for cell in row] for row in make_quadratic(5).spec.table]
+        short = [1]
+        table[1][0] = table[0][1] = short
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            AlgebraSpec(table, (1, 0))
+        table[1][0] = table[0][1] = [0, "1"]
+        with pytest.raises(TypeError):
+            AlgebraSpec(table, (1, 0))
 
 
 def _square_free(v: int) -> bool:
@@ -255,15 +299,17 @@ def _full_scan(spec, imgs):
     return None
 
 
-def _count_mul(monkeypatch):
-    calls = []
+def _count_pairs(monkeypatch):
+    """Record every basis pair that algebra hands to the law scan."""
+    pairs = []
 
-    def counted(spec, a, b):
-        calls.append(1)
-        return mul(spec, a, b)
+    def counted(table, d, sig, tau, given):
+        given = list(given)
+        pairs.extend(given)
+        return _law_failure(table, d, sig, tau, given)
 
-    monkeypatch.setattr(algebra, "mul", counted)
-    return calls
+    monkeypatch.setattr(algebra, "_law_failure", counted)
+    return pairs
 
 
 class TestPowerBasisGuard:
@@ -324,9 +370,9 @@ class TestPowerBasisGuard:
     def test_other_specs_get_the_full_scan(self, monkeypatch, spec):
         assert not spec.power_basis
         ident = [spec.basis(i) for i in range(spec.rank)]
-        calls = _count_mul(monkeypatch)
+        pairs = _count_pairs(monkeypatch)
         assert endomorphism_failure(spec, ident) is None
-        assert len(calls) == spec.rank * (spec.rank + 1) // 2
+        assert len(pairs) == spec.rank * (spec.rank + 1) // 2
 
     def test_non_associative_table_needs_the_full_scan(self):
         # 1 -> 1, x -> 0, y -> 0 is multiplicative on every pair (e_k, x)
@@ -334,6 +380,56 @@ class TestPowerBasisGuard:
         imgs = [(1, 0, 0), (0, 0, 0), (0, 0, 0)]
         assert endomorphism_failure(NON_ASSOCIATIVE, imgs) == (2, 2)
         assert _full_scan(NON_ASSOCIATIVE, imgs) == (2, 2)
+
+
+def _random_commutative_table(rng, n):
+    """Commutative table with unity e_0 and sparse small cells elsewhere."""
+    units = basis_elements(n)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cell = units[j] if i == 0 else tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(n))
+            table[i][j] = table[j][i] = cell
+    return AlgebraSpec(table, units[0])
+
+
+_ASSOCIATIVITY_SPECS = {
+    **_PRODUCT_SPECS,
+    "non_associative": lambda: NON_ASSOCIATIVE,
+    **{
+        f"swapped_{name}": (lambda make=make: _swapped(make(), 1, 2))
+        for name, make in (
+            ("cyclotomic_5", lambda: make_cyclotomic(5).spec),
+            ("biquadratic_2_3", lambda: make_biquadratic(2, 3).spec),
+            ("non_associative", lambda: NON_ASSOCIATIVE),
+        )
+    },
+}
+
+
+class TestAssociativity:
+    """associativity_failure, a law scan per basis element, names the same
+    first triple as multiplying out both sides of every triple."""
+
+    @pytest.mark.parametrize("name", sorted(_ASSOCIATIVITY_SPECS))
+    def test_matches_the_triple_loop(self, name):
+        spec = _ASSOCIATIVITY_SPECS[name]()
+        assert associativity_failure(spec) == associativity_triple_loop(spec.table)
+
+    def test_random_commutative_tables(self):
+        rng = random.Random(2024)
+        verdicts = []
+        for n in (1, 2, 3, 4) * 40:
+            spec = _random_commutative_table(rng, n)
+            found = associativity_failure(spec)
+            assert found == associativity_triple_loop(spec.table)
+            verdicts.append(found is None)
+        assert 10 < sum(verdicts) < len(verdicts) - 10
+
+    def test_makes_no_product_call(self, monkeypatch):
+        monkeypatch.setattr(algebra, "mul", None)
+        assert associativity_failure(NON_ASSOCIATIVE) == (1, 1, 2)
+        assert endomorphism_failure(NON_ASSOCIATIVE, [(1, 0, 0), (0, 0, 0), (0, 0, 0)]) == (2, 2)
 
 
 class TestEndomorphismFastPath:
@@ -380,9 +476,9 @@ class TestEndomorphismFastPath:
     def test_p31_checks_the_generator_pairs_only(self, monkeypatch):
         ring = make_cyclotomic(31)
         imgs = endomorphism_by_name(ring, 3).images
-        calls = _count_mul(monkeypatch)
+        pairs = _count_pairs(monkeypatch)
         assert endomorphism_failure(ring.spec, imgs) is None
-        assert len(calls) == 30
+        assert len(pairs) == 30
 
 
 class TestPowerSum:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import random
 from pathlib import Path
 
@@ -281,6 +282,28 @@ class TestPureLawKernel:
                         for d in biquadratic_basis(ring, sigma, tau).basis_maps:
                             found += self._check(rng, ring.spec, d)
             assert found > 0
+
+
+    def test_law_failure_names_the_first_failing_pair_in_the_given_order(self):
+        rng = random.Random(101)
+        ring = make_cyclotomic(7)
+        table, n = ring.spec.table, ring.spec.rank
+        sigma, tau = endomorphisms(ring)[1:3]
+        d = build_cyclotomic_derivation(ring, sigma, tau, [1, 0, 2, 0, -1, 3])
+        s, t = sigma.images, tau.images
+        units = basis_elements(n)
+        pairs = list(itertools.product(range(n), repeat=2))
+        for bad in _planted_faults(rng, d.images):
+            failing = {
+                (i, j) for i, j in pairs
+                if not derivation_law_holds(table, bad, s, t, [(units[i], units[j])])
+            }
+            assert len(failing) > 1
+            rng.shuffle(pairs)
+            first = next(pair for pair in pairs if pair in failing)
+            assert _pykernels._law_failure(table, bad, s, t, iter(pairs)) == first
+            passing = [pair for pair in pairs if pair not in failing]
+            assert _pykernels._law_failure(table, bad, s, t, passing) is None
 
 
 class TestBackendContract:
