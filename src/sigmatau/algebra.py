@@ -62,12 +62,17 @@ class AlgebraSpec:
     def __init__(self, table, unity, labels=None):
         n = len(table)
         tab = []
-        cells: dict[Coords, Coords] = {}  # one tuple per distinct cell
+        cells: dict[Coords, Coords] = {}  # one tuple per distinct cell value
+        # each cell object is read once; holding it keeps its id from reuse
+        seen: dict[int, tuple] = {}  # id(cell) -> (cell, its tuple)
         for row in table:
             if len(row) != n:
                 raise ValueError("structure table must be n x n")
-            coords = (_coords(cell, n) for cell in row)
-            tab.append(tuple(cells.setdefault(t, t) for t in coords))
+            for cell in row:
+                if id(cell) not in seen:
+                    t = _coords(cell, n)
+                    seen[id(cell)] = (cell, cells.setdefault(t, t))
+            tab.append(tuple(seen[id(cell)][1] for cell in row))
         self.table: tuple = tuple(tab)
         self.rank: int = n
         self.unity: Coords = _coords(unity, n)
@@ -285,8 +290,10 @@ def sigma_tau_power_sum(spec: AlgebraSpec, sigma, tau, alpha: Sequence[int], k: 
     if k < 1:
         raise ValueError("k must be at least 1")
     sigma, tau = _twist_pair(spec, sigma, tau)
-    s_alpha, t_alpha = (_apply(m.images, spec.element(alpha)) for m in (sigma, tau))
-    # P_(i+1) = sigma(alpha) P_i + tau(alpha)^i, from P_1 = 1
+    imgs = (_apply(m.images, spec.element(alpha)) for m in (sigma, tau))
+    # P_(i+1) = s P_i + t^i, from P_1 = 1, where the sum is symmetric in
+    # (s, t) = (sigma(alpha), tau(alpha)): s, the fixed factor, is the sparser
+    s_alpha, t_alpha = sorted(imgs, key=lambda v: len(_support(v)))
     total = t_pow = spec.unity
     for _ in range(k - 1):
         t_pow = mul(spec, t_pow, t_alpha)

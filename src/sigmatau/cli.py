@@ -31,26 +31,19 @@ def _parse_images(text: str) -> list[list[int]]:
     return [_parse_ints(group) for group in text.split(";")]
 
 
-_RING_FORMS = {
-    "cyclotomic": ("cyclotomic:P", 1, rings.make_cyclotomic),
-    "quadratic": ("quadratic:D", 1, rings.make_quadratic),
-    "biquadratic": ("biquadratic:M,N", 2, rings.make_biquadratic),
-}
-
-
 def _parse_ring(spec: str):
     family, _, rest = spec.partition(":")
-    if family not in _RING_FORMS:
+    if family not in rings._FAMILIES:
         raise ValueError(
             f"unknown ring {spec!r}; use cyclotomic:P, quadratic:D, or biquadratic:M,N"
         )
-    form, arity, make = _RING_FORMS[family]
+    _, make, keys = rings._FAMILIES[family]
     try:
         params = _parse_ints(rest)
     except ValueError:
         params = []
-    if len(params) != arity:
-        raise ValueError(f"expected {form}, got {spec!r}")
+    if len(params) != len(keys):
+        raise ValueError(f"expected {family}:{','.join(keys).upper()}, got {spec!r}")
     return make(*params)
 
 

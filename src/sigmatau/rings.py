@@ -174,26 +174,28 @@ def _names_by_images(ring) -> dict[tuple[Coords, ...], str]:
     return {_endomorphism_images(ring, name): name for name in _endomorphism_names(ring)}
 
 
+# family -> (ring type, maker, parameter names), read by the JSON form below
+# and by the CLI's --ring parser
+_FAMILIES = {
+    "cyclotomic": (CyclotomicRing, make_cyclotomic, ("p",)),
+    "quadratic": (QuadraticRing, make_quadratic, ("d",)),
+    "biquadratic": (BiquadraticRing, make_biquadratic, ("m", "n")),
+}
+
+
 def ring_to_json(ring) -> dict:
-    if isinstance(ring, CyclotomicRing):
-        return {"family": "cyclotomic", "p": ring.p}
-    if isinstance(ring, QuadraticRing):
-        return {"family": "quadratic", "d": ring.d}
-    if isinstance(ring, BiquadraticRing):
-        return {"family": "biquadratic", "m": ring.m, "n": ring.n}
+    for family, (kind, _, keys) in _FAMILIES.items():
+        if isinstance(ring, kind):
+            return {"family": family, **{key: getattr(ring, key) for key in keys}}
     raise TypeError(f"unsupported ring {ring!r}")
 
 
 def ring_from_json(data: dict):
     """Inverse of ring_to_json; a missing or malformed field is a ValueError naming it."""
     family = data.get("family") if isinstance(data, dict) else None
-    make, keys = {
-        "cyclotomic": (make_cyclotomic, ("p",)),
-        "quadratic": (make_quadratic, ("d",)),
-        "biquadratic": (make_biquadratic, ("m", "n")),
-    }.get(family, (None, ()))
-    if make is None:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown ring family {family!r} in {data!r}")
+    _, make, keys = _FAMILIES[family]
     for key in keys:
         if type(data.get(key)) is not int:
             raise ValueError(f"{family} ring field {key!r} is missing or not an integer")

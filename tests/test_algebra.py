@@ -102,7 +102,6 @@ class TestSpecValidation:
             spec, _, _, _ = build()
             assert associativity_failure(spec) is None
 
-
     @pytest.mark.parametrize("make", [
         lambda: make_cyclotomic(7).spec,
         lambda: make_quadratic(-3).spec,
@@ -396,14 +395,9 @@ def _random_commutative_table(rng, n):
 _ASSOCIATIVITY_SPECS = {
     **_PRODUCT_SPECS,
     "non_associative": lambda: NON_ASSOCIATIVE,
-    **{
-        f"swapped_{name}": (lambda make=make: _swapped(make(), 1, 2))
-        for name, make in (
-            ("cyclotomic_5", lambda: make_cyclotomic(5).spec),
-            ("biquadratic_2_3", lambda: make_biquadratic(2, 3).spec),
-            ("non_associative", lambda: NON_ASSOCIATIVE),
-        )
-    },
+    "swapped_cyclotomic_5": lambda: _swapped(make_cyclotomic(5).spec, 1, 2),
+    "swapped_biquadratic_2_3": lambda: _swapped(make_biquadratic(2, 3).spec, 1, 2),
+    "swapped_non_associative": lambda: _swapped(NON_ASSOCIATIVE, 1, 2),
 }
 
 

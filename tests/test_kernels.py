@@ -283,7 +283,6 @@ class TestPureLawKernel:
                             found += self._check(rng, ring.spec, d)
             assert found > 0
 
-
     def test_law_failure_names_the_first_failing_pair_in_the_given_order(self):
         rng = random.Random(101)
         ring = make_cyclotomic(7)
