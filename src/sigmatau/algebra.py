@@ -83,11 +83,13 @@ class AlgebraSpec:
             if len(labels) != n:
                 raise ValueError("one label per basis element required")
         self.labels: tuple[str, ...] = labels
-        self._hash = hash((self.table, self.unity))
+        # equal cells are one tuple, so identity decides equality from here on
         for i in range(n):
             for j in range(i + 1, n):
-                if self.table[i][j] != self.table[j][i]:
+                if self.table[i][j] is not self.table[j][i]:
                     raise ValueError(f"structure table not commutative at ({i}, {j})")
+        # O(n) of the data __eq__ compares: equal specs hash alike
+        self._hash = hash((self.unity, self.table[-1][-1] if n else ()))
         for i in range(n):
             if mul(self, self.unity, self.basis(i)) != self.basis(i):
                 raise ValueError(f"unity law fails on basis element {i}")
@@ -97,7 +99,15 @@ class AlgebraSpec:
         n = self.rank
         if n == 0 or self.unity != self.basis(0):
             return False
-        return n == 1 or self.table == _power_table(self.table[n - 1][1])
+        if n == 1:
+            return True
+        # rows 0 and n - 1 hold the 2n - 1 distinct powers x^(i+j): compare
+        # those by value once, then every other cell by identity, in O(n^2)
+        tab, want = self.table, _power_table(self.table[n - 1][1])
+        powers = [*tab[0], *tab[n - 1][1:]]
+        if powers != [*want[0], *want[n - 1][1:]]:
+            return False
+        return all(tab[i][j] is powers[i + j] for i in range(n) for j in range(n))
 
     def basis(self, i: int) -> Coords:
         return tuple(1 if j == i else 0 for j in range(self.rank))

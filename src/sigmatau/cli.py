@@ -13,10 +13,8 @@ import json
 import re
 import sys
 
-from . import codes, conjecture, derivations, rings
+from . import derivations, rings
 from .algebra import Derivation, LinearMap, derivation_failure
-from .codes import BudgetExceededError
-from .conjecture import ConjectureViolationError
 from .derivations import InnernessVerdict
 
 
@@ -171,6 +169,8 @@ def _cmd_inner(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from . import conjecture
+
     report = conjecture.sweep(args.min_p, args.max_p, jobs=args.jobs)
     if args.format == "csv":
         buf = io.StringIO()
@@ -188,11 +188,14 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_code(args, out) -> int:
+    from . import codes
+
     ring, sigma, tau = _ring_args(args)
     d = _build_derivation(ring, sigma, tau, args)
     b = codes.idd_matrix(ring, d)
     t = _parse_ints(args.subset)
-    report = codes.code_report(b, t, args.q, label=args.label, budget=args.budget)
+    budget = codes.DEFAULT_BUDGET if args.budget is None else args.budget
+    report = codes.code_report(b, t, args.q, label=args.label, budget=budget)
     if args.format == "json":
         json.dump(codes.report_to_json(report), out, indent=2)
         print(file=out)
@@ -206,10 +209,11 @@ def _cmd_code(args, out) -> int:
 def _reproduce_32(out) -> bool:
     """p=5 fixture: the matrix, its determinant, and the non-inner verdict
     of the generic solver and the paper's adjugate route."""
-    fix = json.loads(codes._fixture_text("paper_p5_matrix.json"))
-    a = conjecture.build_A(fix["p"], fix["u"], fix["w"])
+    from . import codes, conjecture
     from .intlinalg import det_bareiss
 
+    fix = json.loads(codes._fixture_text("paper_p5_matrix.json"))
+    a = conjecture.build_A(fix["p"], fix["u"], fix["w"])
     ok_matrix = a == fix["matrix"]
     ok_det = det_bareiss(a) == fix["det"]
     print(f"build_A({fix['p']},{fix['u']},{fix['w']}) matches golden: "
@@ -230,6 +234,8 @@ def _reproduce_32(out) -> bool:
 
 def _reproduce_44(out) -> bool:
     """Thirteen-subset table, compared byte for byte with the golden CSV."""
+    from . import codes
+
     got = codes.reports_csv(codes.reference_code_reports())
     want = codes._fixture_text("paper_s17_codes.csv")
     out.write(got)
@@ -239,6 +245,8 @@ def _reproduce_44(out) -> bool:
 
 
 def _reproduce_sweep(out, jobs: int) -> bool:
+    from . import conjecture
+
     report = conjecture.sweep(3, 49, jobs=jobs)
     ok = not report.failures and not report.sign_mismatches
     print(f"sweep p in 3..49: {len(report.cases)} cases, "
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="1-based row indices, comma-separated")
     p.add_argument("--q", type=int, default=2, help="prime modulus")
     p.add_argument("--label", default="")
-    p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)  # None: codes.DEFAULT_BUDGET
     # kept so older command lines still parse; codes are enumerated in one process
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
@@ -349,13 +357,25 @@ def _attach_coordinate_values(argv) -> list[str]:
     return out
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """Errors printed as one "error:" line. codes and conjecture are imported
+    only by the commands that call them, and a module never imported raised
+    nothing, so their errors are looked up only once loaded."""
+    errors = [ValueError, OSError]
+    for module, name in (("codes", "BudgetExceededError"), ("conjecture", "ConjectureViolationError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(_attach_coordinate_values(argv))
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, OSError, BudgetExceededError, ConjectureViolationError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,12 +120,14 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
 
     T must be Z-linearly independent (error otherwise); losing rank mod q is
     legitimate and only warns, with the rref rank as the code dimension.
+    Rows independent mod q are independent over Z, so the Z-rank is computed
+    only when the mod-q rank falls short.
     """
     idx = _subset(B, T)
-    if not independent_subset_check(B, idx):
-        raise ValueError("selected rows are not Z-linearly independent")
     code = LinearCode(q, B.n, [B.B[t - 1] for t in idx], selected=len(idx))
     if code.k < len(idx):
+        if not independent_subset_check(B, idx):
+            raise ValueError("selected rows are not Z-linearly independent")
         warnings.warn(
             f"mod-{q} rank {code.k} is below the subset size {len(idx)}",
             stacklevel=2,

@@ -27,7 +27,6 @@ from .algebra import (
     smul,
     sub,
 )
-from .conjecture import ConjectureViolationError, build_A
 from .rings import (
     BiquadraticRing,
     CyclotomicRing,
@@ -174,6 +173,8 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
 
 @lru_cache(maxsize=1024)
 def _adjugate_det_A(p: int, u: int, w: int):
+    from .conjecture import build_A  # only this route needs the sweep module
+
     a = build_A(p, u, w)
     adj = tuple(tuple(r) for r in intlinalg.adjugate(a))
     return adj, intlinalg.det_bareiss(a)
@@ -190,6 +191,8 @@ def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> Innerness
     w = int(_endomorphism_name_of(ring, der.tau.images))
     adj, det = _adjugate_det_A(ring.p, w, u)
     if abs(det) != ring.p:
+        from .conjecture import ConjectureViolationError
+
         raise ConjectureViolationError(
             f"det of the innerness matrix for p={ring.p}, sigma exponent {u}, "
             f"tau exponent {w} is {det}, expected +-{ring.p}"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmatau
-from sigmatau import algebra, conjecture, rings
+from sigmatau import algebra, conjecture, derivations, rings
 from sigmatau.cli import run
 
 
@@ -377,6 +377,60 @@ def test_import_leaves_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The sigmatau submodules a fresh interpreter holds after running code."""
+    src = Path(sigmatau.__file__).resolve().parents[1]
+    code += "\nimport json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('sigmatau.'))))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyLoading:
+    """Names bind on first use, and each command imports only the layers it runs."""
+
+    def test_import_loads_no_submodule(self):
+        assert _loaded_after("import sys, sigmatau") == []
+
+    def test_inner_skips_codes_and_conjecture(self):
+        loaded = _loaded_after(
+            "import sys\nfrom sigmatau.cli import run\n"
+            "run(['inner', '--ring', 'cyclotomic:7', '--sigma', '2', '--tau', '3', '--dzeta', '1,0,0,0,0,0'])"
+        )
+        assert "sigmatau.derivations" in loaded
+        assert "sigmatau.codes" not in loaded and "sigmatau.conjecture" not in loaded
+
+    def test_sweep_skips_codes(self):
+        loaded = _loaded_after(
+            "import sys\nfrom sigmatau.cli import run\nrun(['sweep', '--max-p', '7', '--format', 'json'])"
+        )
+        assert "sigmatau.conjecture" in loaded and "sigmatau.codes" not in loaded
+
+    def test_public_names_resolve(self):
+        # dir() lists every public name before any is read, and loads nothing
+        loaded = _loaded_after(
+            "import sys, sigmatau\nassert set(sigmatau.__all__) <= set(dir(sigmatau))"
+        )
+        assert loaded == []
+        namespace: dict = {}
+        exec("from sigmatau import *", namespace)
+        assert set(sigmatau.__all__) <= namespace.keys()
+        for name in sigmatau.__all__:
+            owner = sys.modules[f"sigmatau.{sigmatau._MODULE_OF[name]}"]
+            assert getattr(sigmatau, name) is getattr(owner, name) is namespace[name]
+        assert sigmatau.codes is sys.modules["sigmatau.codes"]
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            sigmatau.nonesuch
+
+    def test_conjecture_violation_is_an_error_line(self, capsys, monkeypatch):
+        # a determinant other than +-p stops the adjugate route of section 3.2
+        monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: ((), 2 * p))
+        status, _, err = _run(capsys, "reproduce-paper", "--section", "3.2")
+        _assert_clean_error(status, err, "is 10, expected +-5")
+        assert err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigmatau import _pykernels
+from sigmatau import _pykernels, intlinalg
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
@@ -175,6 +175,19 @@ class TestHomIddCode:
             code = hom_idd_code(b, [2], 2)
         assert code.k == 0
         assert code.selected == 1
+
+    def test_full_mod_q_rank_skips_the_z_rank(self, monkeypatch):
+        # rows independent mod q are independent over Z; only a short mod-q
+        # rank needs the Z-rank to tell a rank drop from a dependent subset
+        calls = []
+        rank = intlinalg.rank_int
+        monkeypatch.setattr(intlinalg, "rank_int", lambda rows: calls.append(rows) or rank(rows))
+        b = _reference_matrix()
+        code = hom_idd_code(b, _rows_for_exponents([1, 2, 6, 7]), 2)
+        assert code.k == 4 and calls == []
+        with pytest.raises(ValueError, match="not Z-linearly independent"):
+            hom_idd_code(b, [1, 2], 2)
+        assert len(calls) == 1
 
 
 class TestMinDistance:
