@@ -32,8 +32,8 @@ _EXPORTS = {
         "report_to_json", "reports_csv", "weight_distribution",
     ),
     "conjecture": (
-        "ConjectureCase", "ConjectureViolationError", "SweepReport", "build_A",
-        "primes_in", "summary_json", "sweep", "write_cases_csv",
+        "ConjectureCase", "SweepReport", "build_A", "primes_in", "summary_json",
+        "sweep", "write_cases_csv",
     ),
     "derivations": (
         "DerivationSpace", "InnernessVerdict", "biquadratic_basis",

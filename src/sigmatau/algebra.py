@@ -329,8 +329,25 @@ def spec_to_json(spec: AlgebraSpec) -> dict:
     }
 
 
+def _nested_ints(v, depth: int) -> bool:
+    # v is a list nested depth deep with int leaves
+    if depth == 0:
+        return type(v) is int
+    return isinstance(v, list) and all(_nested_ints(x, depth - 1) for x in v)
+
+
 def spec_from_json(data: dict) -> AlgebraSpec:
-    spec = AlgebraSpec(data["table"], data["unity"], data.get("labels"))
+    """Inverse of spec_to_json; a missing or malformed field is a ValueError
+    naming it."""
+    for key, depth, form in (("table", 3, "rows of integer lists"), ("unity", 1, "integers")):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"algebra spec lacks field {key!r}")
+        if not _nested_ints(data[key], depth):
+            raise ValueError(f"algebra spec field {key!r} must be a list of {form}, got {data[key]!r}")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError(f"algebra spec field 'labels' must be a list, got {labels!r}")
+    spec = AlgebraSpec(data["table"], data["unity"], labels)
     if spec.rank != data.get("rank", spec.rank):
         raise ValueError("rank does not match table size")
     return spec

@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="determinant sweep over odd primes")
     p.add_argument("--min-p", type=int, default=3)
     p.add_argument("--max-p", type=int, default=49, help="inclusive upper bound")
-    p.add_argument("--jobs", type=int, default=1)
+    # kept so older command lines still parse; the sweep runs in one process
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_sweep)
 
@@ -337,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper", help="recompute the shipped reference results")
     p.add_argument("--section", choices=["all", "3.2", "4.4", "sweep"], default="all")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep only; codes run in one process",
-    )
+    # kept so older command lines still parse; every section runs in one process
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_reproduce)
 
     return top
@@ -358,15 +357,13 @@ def _attach_coordinate_values(argv) -> list[str]:
 
 
 def _reported_errors() -> tuple[type[Exception], ...]:
-    """Errors printed as one "error:" line. codes and conjecture are imported
-    only by the commands that call them, and a module never imported raised
-    nothing, so their errors are looked up only once loaded."""
-    errors = [ValueError, OSError]
-    for module, name in (("codes", "BudgetExceededError"), ("conjecture", "ConjectureViolationError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
+    """Errors printed as one "error:" line: bad input, and a code too large
+    for its enumeration budget. codes is imported only by the commands that
+    call it, and a module never imported raised nothing, so its
+    BudgetExceededError is looked up only once codes is loaded."""
+    errors = (ValueError, OSError)
+    codes = sys.modules.get(f"{__package__}.codes")
+    return errors if codes is None else (*errors, codes.BudgetExceededError)
 
 
 def run(argv) -> int:

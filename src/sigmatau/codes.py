@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from . import _backend, _pykernels, intlinalg
 from .algebra import Coords, LinearMap, _images_of
 from .derivations import build_cyclotomic_derivation
-from .intlinalg import is_prime
 from .rings import endomorphism_by_name, make_cyclotomic
 
 DEFAULT_BUDGET = 1 << 24
@@ -76,8 +75,7 @@ def independent_subset_check(B: IddMatrix, T) -> bool:
 
 def omega_reduce(m, q: int) -> list[list[int]]:
     """Entrywise reduction into [0, q), q prime."""
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
+    intlinalg._require_prime(q)
     return [[v % q for v in row] for row in m]
 
 
@@ -88,8 +86,7 @@ class LinearCode:
     __slots__ = ("q", "n", "standard_form", "k", "selected", "_d", "_wd")
 
     def __init__(self, q: int, n: int, generator, selected: int | None = None):
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
+        intlinalg._require_prime(q)
         self.q = q
         self.n = n
         rows = [[v % q for v in row] for row in generator]

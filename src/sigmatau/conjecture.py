@@ -4,10 +4,11 @@ For an odd prime p and distinct exponents u, w in 1..p-1, A(p, u, w) is the
 matrix of multiplication by z^u - z^w on the power basis {1, z, ..., z^(p-2)}.
 The paper conjectured det A(p, u, w) == p for every such case; it holds,
 since det A is the norm of z^u - z^w, an associate of 1 - z, whose norm is
-Phi_p(1) = p. The sweep remains the paper's numerical check. A sweep
-evaluates every ordered pair for every prime in a range and reports failures
-(det not in {p, -p}) separately from sign mismatches (det == -p), which have
-never been observed but are tracked as their own outcome.
+Phi_p(1) = p. The sweep remains the paper's numerical check: it evaluates
+every ordered pair for every prime in a range, in the calling process, and
+reports failures (det not in {p, -p}) separately from sign mismatches
+(det == -p), which have never been observed but are tracked as their own
+outcome.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ import time
 from dataclasses import dataclass
 
 from .intlinalg import det_bareiss, is_prime
-
-
-class ConjectureViolationError(RuntimeError):
-    """det A(p, u, w) is not +-p, so the adjugate innerness route cannot answer.
-
-    Only that route (derivations._cyclotomic_inner_adjugate, used by
-    reproduce-paper and as a test oracle) raises it: det A = p is a theorem,
-    and the innerness decider on the hot path does not depend on it.
-    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,34 +71,27 @@ def build_A(p: int, u: int, w: int) -> list[list[int]]:
     return a
 
 
-def _sweep_prime(p: int) -> list[ConjectureCase]:
-    out = []
-    for u in range(1, p):
-        for w in range(1, p):
-            if u != w:
-                out.append(ConjectureCase(p, u, w, det_bareiss(build_A(p, u, w))))
-    return out
-
-
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in the inclusive range [lo, hi]."""
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
 def sweep(p_min: int = 3, p_max: int = 49, jobs: int = 1) -> SweepReport:
-    """Evaluate every case for every odd prime in [p_min, p_max] (inclusive)."""
+    """Evaluate every case for every odd prime in [p_min, p_max] (inclusive).
+
+    Every case runs in the calling process; jobs is accepted, and must be
+    positive, so that older callers keep working.
+    """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    ps = [p for p in primes_in(p_min, p_max) if p != 2]
     start = time.perf_counter()
-    if jobs == 1 or len(ps) <= 1:
-        chunks = [_sweep_prime(p) for p in ps]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_prime, ps))
-    cases = tuple(c for chunk in chunks for c in chunk)
+    cases = tuple(
+        ConjectureCase(p, u, w, det_bareiss(build_A(p, u, w)))
+        for p in primes_in(max(p_min, 3), p_max)
+        for u in range(1, p)
+        for w in range(1, p)
+        if u != w
+    )
     return SweepReport(p_min, p_max, cases, time.perf_counter() - start)
 
 

@@ -101,6 +101,13 @@ def _reindex(p: int, c, a: int, e: int) -> Coords:
     return tuple(v - top for v in out[:-1])
 
 
+def _exponent(ring: CyclotomicRing, endo: Endomorphism) -> int:
+    """u with endo(z) = z^u, read off the checked map in O(p): z^u is the
+    basis vector e_u for u <= p - 2, and z^(p-1) = -(1 + z + ... + z^(p-2))."""
+    z_image = endo.images[1]
+    return z_image.index(1) if 1 in z_image else ring.p - 1
+
+
 def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Derivation:
     """Derivation with D(1) = 0, D(z) = d_zeta, and every D(z^k) forced.
 
@@ -110,8 +117,7 @@ def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Der
     """
     spec = ring.spec
     sigma, tau = _twist_pair(spec, sigma, tau)
-    u = int(_endomorphism_name_of(ring, sigma.images))
-    w = int(_endomorphism_name_of(ring, tau.images))
+    u, w = _exponent(ring, sigma), _exponent(ring, tau)
     d_zeta = spec.element(d_zeta)
     images = [spec.zero(), d_zeta]
     for k in range(1, ring.p - 2):
@@ -164,9 +170,7 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
             False, None,
             f"{p} does not divide the coordinate sum {s} of D(z), so 1 - z does not divide D(z)",
         )
-    u = int(_endomorphism_name_of(ring, der.sigma.images))
-    w = int(_endomorphism_name_of(ring, der.tau.images))
-    witness = _cyclotomic_quotient(p, u, w, c)
+    witness = _cyclotomic_quotient(p, _exponent(ring, der.sigma), _exponent(ring, der.tau), c)
     _assert_witness(der, witness)
     return InnernessVerdict(True, witness, None)
 
@@ -184,16 +188,14 @@ def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> Innerness
     """The paper's route, kept for reproduce-paper and as a test oracle:
     inner iff det(A) divides every entry of adj(A) D(z), with A the
     multiplication-by-(tau - sigma)(z) matrix. Builds n^2 cofactors, so
-    O(p^5); det(A) outside {p, -p} raises ConjectureViolationError.
+    O(p^5). det(A) = +-p is a theorem (see cyclotomic_inner_conjectural), so
+    any other determinant is a fault here and raises AssertionError.
     """
     der = _as_derivation(ring.spec, sigma, tau, D)
-    u = int(_endomorphism_name_of(ring, der.sigma.images))
-    w = int(_endomorphism_name_of(ring, der.tau.images))
+    u, w = _exponent(ring, der.sigma), _exponent(ring, der.tau)
     adj, det = _adjugate_det_A(ring.p, w, u)
     if abs(det) != ring.p:
-        from .conjecture import ConjectureViolationError
-
-        raise ConjectureViolationError(
+        raise AssertionError(
             f"det of the innerness matrix for p={ring.p}, sigma exponent {u}, "
             f"tau exponent {w} is {det}, expected +-{ring.p}"
         )

@@ -606,5 +606,15 @@ class TestSpecJson:
             assert back == spec
             assert back.labels == spec.labels
 
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "table"),
+        ({"table": [[[1]]]}, "unity"),
+        ([[[[1]]], [1]], "table"),
+        ({"table": [[[1]]], "unity": [1], "labels": 7}, "labels"),
+    ])
+    def test_missing_or_malformed_field_is_named(self, doc, field):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            spec_from_json(doc)
+
     def test_oracle_basis_elements_helper(self):
         assert basis_elements(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigmatau import _backend, algebra, conjecture, derivations, intlinalg
+from sigmatau import _backend, algebra, conjecture, derivations, intlinalg, rings
 from sigmatau.algebra import (
     Derivation,
     LinearMap,
@@ -735,6 +735,31 @@ class TestProvenCyclotomicTest:
         )
 
 
+class TestExponentRead:
+    """The cyclotomic builder and deciders read u off sigma(z) = z^u in O(p),
+    with no lookup among the ring's endomorphisms."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+    def test_exponent_is_the_name(self, p):
+        ring = make_cyclotomic(p)
+        for endo in endomorphisms(ring):
+            unnamed = algebra.Endomorphism(ring.spec, endo.images)
+            assert derivations._exponent(ring, unnamed) == int(endo.name)
+            assert rings._endomorphism_name_of(ring, unnamed.images) == endo.name
+
+    def test_build_and_decide_look_up_no_name(self):
+        ring = make_cyclotomic(7)
+        rings._names_by_images.cache_clear()
+        sigma, tau = _endo(ring, 3), _endo(ring, 6)
+        beta = (1, -2, 0, 3, 0, 1)
+        inner = inner_derivation(ring.spec, sigma, tau, beta)
+        outer = build_cyclotomic_derivation(ring, sigma, tau, (1, 0, 0, 0, 0, 0))
+        assert cyclotomic_inner_conjectural(ring, sigma, tau, inner).witness == beta
+        assert derivations._cyclotomic_inner_adjugate(ring, sigma, tau, inner).witness == beta
+        assert not cyclotomic_inner_conjectural(ring, sigma, tau, outer).inner
+        assert rings._names_by_images.cache_info().misses == 0
+
+
 class TestWitnessPowerScaling:
     def test_witness_transfers_to_powers(self):
         # if D(a) = beta (tau - sigma)(a) for all a then the same witness
@@ -910,6 +935,15 @@ class TestValidateOnce:
         scaled_identity = tuple(tuple(5 if i == j else 0 for j in range(4)) for i in range(4))
         monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: (scaled_identity, 5))
         with pytest.raises(AssertionError, match="witness"):
+            derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
+
+    def test_determinant_other_than_p_is_a_fault(self, monkeypatch):
+        # det A = +-p is a theorem, so the adjugate route asserts it
+        ring = make_cyclotomic(5)
+        sigma, tau = _endo(ring, 1), _endo(ring, 2)
+        d = build_cyclotomic_derivation(ring, sigma, tau, (0, 1, 0, 0))
+        monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: ((), 2 * p))
+        with pytest.raises(AssertionError, match=r"p=5, sigma exponent 1, tau exponent 2 is 10, expected \+-5"):
             derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
 
     def test_quotient_witness_is_verified(self, monkeypatch):
