@@ -171,7 +171,7 @@ def _cmd_inner(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     from . import conjecture
 
-    report = conjecture.sweep(args.min_p, args.max_p, jobs=args.jobs)
+    report = conjecture.sweep(args.min_p, args.max_p)
     if args.format == "csv":
         buf = io.StringIO()
         conjecture.write_cases_csv(report, buf)
@@ -244,10 +244,10 @@ def _reproduce_44(out) -> bool:
     return ok
 
 
-def _reproduce_sweep(out, jobs: int) -> bool:
+def _reproduce_sweep(out) -> bool:
     from . import conjecture
 
-    report = conjecture.sweep(3, 49, jobs=jobs)
+    report = conjecture.sweep(3, 49)
     ok = not report.failures and not report.sign_mismatches
     print(f"sweep p in 3..49: {len(report.cases)} cases, "
           f"{len(report.failures)} failures, "
@@ -263,7 +263,7 @@ def _cmd_reproduce(args, out) -> int:
     if args.section in ("all", "4.4"):
         ok = _reproduce_44(out) and ok
     if args.section in ("all", "sweep"):
-        ok = _reproduce_sweep(out, args.jobs) and ok
+        ok = _reproduce_sweep(out) and ok
     return 0 if ok else 1
 
 
@@ -278,6 +278,11 @@ def _add_pair_flags(p: argparse.ArgumentParser) -> None:
 def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dzeta", help="coordinates of D(zeta), comma-separated (cyclotomic)")
     p.add_argument("--images", help="basis images, ';'-separated coordinate lists")
+
+
+def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
+    # hidden, kept so older command lines parse; run() refuses values below 1
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="determinant sweep over odd primes")
     p.add_argument("--min-p", type=int, default=3)
     p.add_argument("--max-p", type=int, default=49, help="inclusive upper bound")
-    # kept so older command lines still parse; the sweep runs in one process
-    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    _add_jobs_flag(p)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_sweep)
 
@@ -331,15 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="prime modulus")
     p.add_argument("--label", default="")
     p.add_argument("--budget", type=int)  # None: codes.DEFAULT_BUDGET
-    # kept so older command lines still parse; codes are enumerated in one process
-    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    _add_jobs_flag(p)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("reproduce-paper", help="recompute the shipped reference results")
     p.add_argument("--section", choices=["all", "3.2", "4.4", "sweep"], default="all")
-    # kept so older command lines still parse; every section runs in one process
-    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return top
@@ -371,6 +373,8 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_coordinate_values(argv))
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be positive")
         return args.func(args, sys.stdout)
     except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,9 @@ asked for first.
 
 from __future__ import annotations
 
+import csv
 import importlib.resources
+import io
 import json
 import operator
 import warnings
@@ -278,9 +280,10 @@ def _report_cells(r: CodeReport) -> list[str]:
 
 
 def reports_csv(reports) -> str:
-    """CSV mirror of the reference table layout."""
-    lines = [",".join(_REPORT_COLUMNS)] + [",".join(_report_cells(r)) for r in reports]
-    return "\n".join(lines) + "\n"
+    """CSV mirror of the reference table layout, quoted where a cell needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_REPORT_COLUMNS, *map(_report_cells, reports)])
+    return buf.getvalue()
 
 
 # ------------------------------------------------------------------ fixtures

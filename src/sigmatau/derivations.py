@@ -31,7 +31,8 @@ from .rings import (
     BiquadraticRing,
     CyclotomicRing,
     QuadraticRing,
-    _endomorphism_name_of,
+    _exponent,
+    _name_of,
     endomorphism_by_name,
     ring_from_json,
     ring_to_json,
@@ -99,13 +100,6 @@ def _reindex(p: int, c, a: int, e: int) -> Coords:
         out[a * (i + e) % p] += v
     top = out[p - 1]
     return tuple(v - top for v in out[:-1])
-
-
-def _exponent(ring: CyclotomicRing, endo: Endomorphism) -> int:
-    """u with endo(z) = z^u, read off the checked map in O(p): z^u is the
-    basis vector e_u for u <= p - 2, and z^(p-1) = -(1 + z + ... + z^(p-2))."""
-    z_image = endo.images[1]
-    return z_image.index(1) if 1 in z_image else ring.p - 1
 
 
 def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Derivation:
@@ -236,13 +230,10 @@ def quadratic_inner(ring: QuadraticRing, sigma, tau, D) -> InnernessVerdict:
     iff d divides both t1 = -c0 + c1(d-1)/2 and t2 = 2c0 + c1. As
     2 t1 + t2 = c1 d, d | t1 already gives d | t2. The witness takes tau's
     sign on the generator: it is negated when (sigma, tau) = (id, conj)
-    rather than (conj, id).
+    rather than (conj, id). Those are the ring's only two endomorphisms, so
+    any two distinct ones are this pair.
     """
-    spec = ring.spec
-    names = {_endomorphism_name_of(ring, _images_of(m, spec)) for m in (sigma, tau)}
-    if names != {"id", "conj"}:
-        raise ValueError("sigma and tau must be the identity and the conjugation")
-    der = _as_derivation(spec, sigma, tau, D)
+    der = _as_derivation(ring.spec, sigma, tau, D)
     c0, c1 = der.images[1]
     eps = der.tau.images[1][1]
     d = ring.d
@@ -271,17 +262,10 @@ def classify_biquadratic(ring: BiquadraticRing, sigma, tau) -> tuple[str, int]:
 
     Two distinct maps among phi1..phi4 agree on exactly one of sqrt(m),
     sqrt(n), sqrt(mn). That generator gives the case (I, II, III in that
-    order), and the two maps' common sign on it gives the sign.
+    order), and the two maps' common sign on it gives the sign. Raw images
+    are checked (_twist_pair); every endomorphism is one of phi1..phi4.
     """
-    pair = []
-    for endo in (sigma, tau):
-        images = _images_of(endo, ring.spec)
-        if _endomorphism_name_of(ring, images) is None:
-            raise ValueError("not one of the four biquadratic endomorphisms")
-        pair.append(images)
-    s, t = pair
-    if s == t:
-        raise ValueError("sigma and tau must differ")
+    s, t = (m.images for m in _twist_pair(ring.spec, sigma, tau))
     g = next(g for g in (1, 2, 3) if s[g] == t[g])
     return ("I", "II", "III")[g - 1], s[g][g]
 
@@ -299,6 +283,7 @@ def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images)
     D(sqrt(mn)) = D(sqrt(m)) tau(sqrt(n)) + sigma(sqrt(m)) D(sqrt(n)).
     """
     spec = ring.spec
+    sigma, tau = _twist_pair(spec, sigma, tau)
     case, sgn = classify_biquadratic(ring, sigma, tau)
     zero = spec.zero()
     fi = list(free_images)
@@ -313,7 +298,6 @@ def build_biquadratic_derivation(ring: BiquadraticRing, sigma, tau, free_images)
         dm, dn = (ring.m * t1, t2, r * t3, t4), smul(sgn, (ring.n * t4, s * t3, t2, t1))
     else:
         raise ValueError("case III expects four coefficients or a (D(sqrt(m)), D(sqrt(n))) pair")
-    sigma, tau = _twist_pair(spec, sigma, tau)
     d_mn = add(mul(spec, dm, tau.images[2]), mul(spec, sigma.images[1], dn))
     try:
         return Derivation(spec, [zero, dm, dn, d_mn], sigma, tau)
@@ -342,8 +326,8 @@ def biquadratic_inner(ring: BiquadraticRing, sigma, tau, D) -> InnernessVerdict:
     D(sqrt(m)) by 2 sqrt(m): 2m | c0, 2 | c1, 2m | c2, 2 | c3. The sign
     follows tau's sign on the dividing generator.
     """
-    case, _sgn = classify_biquadratic(ring, sigma, tau)
     der = _as_derivation(ring.spec, sigma, tau, D)
+    case, _sgn = classify_biquadratic(ring, der.sigma, der.tau)
     m, n = ring.m, ring.n
     g = 2 if case == "I" else 1
     c0, c1, c2, c3 = der.images[g]
@@ -398,13 +382,9 @@ def is_inner_generic(ring, sigma, tau, D) -> InnernessVerdict:
 # ------------------------------------------------------------- serialization
 
 def _endo_name(ring, endo) -> str:
-    images = _images_of(endo, ring.spec)
-    if isinstance(endo, Endomorphism) and endo.name:
-        return endo.name
-    name = _endomorphism_name_of(ring, images)
-    if name is None:
-        raise ValueError("endomorphism is not in the ring's enumeration")
-    return name
+    images = _images_of(endo, ring.spec)  # raw images are checked here, once
+    endo = endo if isinstance(endo, Endomorphism) else Endomorphism(ring.spec, images)
+    return endo.name or _name_of(ring, endo)
 
 
 def derivation_to_json(ring, sigma, tau, D) -> dict:

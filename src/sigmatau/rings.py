@@ -11,13 +11,16 @@ Three families:
 
 The first two are Z[x]/(f) on a power basis, so their tables come from x^n
 alone (algebra._power_table); the biquadratic table is written out.
+
+Every unital endomorphism of these rings is one that endomorphisms() lists
+(z goes to some z^u, sqrt(m) to +-sqrt(m)), so _name_of reads a checked
+map's name off its images in O(n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import AlgebraSpec, Coords, Endomorphism, _power_table
 from .intlinalg import is_prime
@@ -81,6 +84,13 @@ def zeta_power(ring: CyclotomicRing, e: int) -> Coords:
     # the table holds z^(i+j) for i, j < p - 1, which covers every residue
     e %= ring.p
     return ring.spec.table[0][e] if e < ring.p - 1 else ring.spec.table[1][-1]
+
+
+def _exponent(ring: CyclotomicRing, endo: Endomorphism) -> int:
+    """u with endo(z) = z^u, read off the checked map in O(p): z^u is the
+    basis vector e_u for u <= p - 2, and z^(p-1) = -(1 + z + ... + z^(p-2))."""
+    z_image = endo.images[1]
+    return z_image.index(1) if 1 in z_image else ring.p - 1
 
 
 def make_quadratic(d: int) -> QuadraticRing:
@@ -164,14 +174,15 @@ def endomorphism_by_name(ring, key) -> Endomorphism:
     return Endomorphism(ring.spec, _endomorphism_images(ring, key), name=key)
 
 
-def _endomorphism_name_of(ring, images) -> str | None:
-    # comparing with the canonical images needs no endomorphism check
-    return _names_by_images(ring).get(tuple(images))
-
-
-@lru_cache(maxsize=64)
-def _names_by_images(ring) -> dict[tuple[Coords, ...], str]:
-    return {_endomorphism_images(ring, name): name for name in _endomorphism_names(ring)}
+def _name_of(ring, endo: Endomorphism) -> str:
+    """Name of a checked endomorphism of ring, read off its images in O(n):
+    the exponent u of z -> z^u, id or conj, or phi1..phi4 by the two signs."""
+    images = endo.images
+    if isinstance(ring, CyclotomicRing):
+        return str(_exponent(ring, endo))
+    if isinstance(ring, QuadraticRing):
+        return "id" if images[1] == (0, 1) else "conj"
+    return f"phi{1 + 2 * (images[1][1] < 0) + (images[2][2] < 0)}"
 
 
 # family -> (ring type, maker, parameter names), read by the JSON form below

@@ -160,6 +160,9 @@ def _codes():
         for fmt in ("json", "csv"):
             yield ("code", *pair, "--dzeta", _coords(fix["d_zeta"]), "--subset", subset,
                    "--q", str(fix["q"]), "--label", f"S{i}", "--format", fmt), ""
+    # a label holding a comma and quotes is one quoted CSV cell
+    yield ("code", *pair, "--dzeta", _coords(fix["d_zeta"]), "--subset", _coords(e + 1 for e in fix["subsets"][0]),
+           "--q", str(fix["q"]), "--label", 'S1, "a"', "--format", "csv"), ""
 
 
 def _errors_and_checks():
@@ -175,6 +178,10 @@ def _errors_and_checks():
     yield ("check", "--from-file", "-"), json.dumps(doc) + "\n"
     for spec in ("octic:2", "biquadratic:2", "cyclotomic:x", "quadratic:4", "cyclotomic:9"):
         yield ("ring", "--ring", spec), ""
+    # the hidden --jobs is refused below 1 on every command that takes it
+    code = ("code", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0", "--subset", "1,2")
+    for argv in (("sweep", "--max-p", "5"), ("reproduce-paper", "--section", "3.2"), code):
+        yield (*argv, "--jobs", "0"), ""
 
 
 def commands():

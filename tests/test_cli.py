@@ -281,6 +281,16 @@ class TestSweep:
         assert "--format" in out or "--section" in out
         assert "--jobs" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--max-p", "5"],
+        ["reproduce-paper", "--section", "3.2"],
+        ["code", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0", "--subset", "1,2"],
+    ], ids=["sweep", "reproduce-paper", "code"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_refused(self, capsys, argv, jobs):
+        status, out, err = _run(capsys, *argv, "--jobs", jobs)
+        assert (status, out, err) == (1, "", "error: jobs must be positive\n")
+
 
 class TestCode:
     ARGS = [

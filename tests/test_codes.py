@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -383,6 +385,14 @@ class TestReports:
         lines = text.splitlines()
         assert lines[0] == "subset,n,k,d,lcd,dual_n,dual_k,dual_d"
         assert lines[1] == "2 3 7 8,16,4,7,non-LCD,16,12,2"
+
+    def test_csv_quotes_a_label_with_a_comma_or_quote(self):
+        b = _reference_matrix()
+        label = 'S1, "a"'
+        r = code_report(b, _rows_for_exponents([1, 2, 6, 7]), 2, label=label)
+        rows = list(csv.reader(io.StringIO(reports_csv([r]))))
+        assert [len(row) for row in rows] == [8, 8]
+        assert rows[1] == [label, "16", "4", "7", "non-LCD", "16", "12", "2"]
 
     def test_reference_table_matches_fixture(self):
         from sigmatau.codes import _fixture_text

@@ -295,7 +295,7 @@ class TestQuadratic:
         ring = make_quadratic(2)
         _, conj = endomorphisms(ring)
         d = build_quadratic_derivation(ring, ((0, 0), (0, 0)))
-        with pytest.raises(ValueError, match="identity and the conjugation"):
+        with pytest.raises(ValueError, match="sigma and tau must differ"):
             quadratic_inner(ring, conj, conj, d)
 
 
@@ -735,29 +735,46 @@ class TestProvenCyclotomicTest:
         )
 
 
+def _assert_names_read_off(ring):
+    for endo in endomorphisms(ring):
+        unnamed = algebra.Endomorphism(ring.spec, endo.images)
+        assert unnamed.name is None
+        assert rings._name_of(ring, unnamed) == endo.name
+
+
 class TestExponentRead:
-    """The cyclotomic builder and deciders read u off sigma(z) = z^u in O(p),
-    with no lookup among the ring's endomorphisms."""
+    """A checked endomorphism's name is read off its images in O(n), with
+    no lookup among the ring's endomorphisms; on Z[z] it is u in
+    sigma(z) = z^u."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
     def test_exponent_is_the_name(self, p):
         ring = make_cyclotomic(p)
+        _assert_names_read_off(ring)
         for endo in endomorphisms(ring):
-            unnamed = algebra.Endomorphism(ring.spec, endo.images)
-            assert derivations._exponent(ring, unnamed) == int(endo.name)
-            assert rings._endomorphism_name_of(ring, unnamed.images) == endo.name
+            assert rings._exponent(ring, endo) == int(endo.name)
 
-    def test_build_and_decide_look_up_no_name(self):
+    @pytest.mark.parametrize("d", [-11, -7, -5, -3, -2, -1, 2, 3, 5, 13])
+    def test_quadratic_name_is_read_off(self, d):
+        _assert_names_read_off(make_quadratic(d))
+
+    @pytest.mark.parametrize("m, n", BIQUADRATIC_PAIRS)
+    def test_biquadratic_name_is_read_off(self, m, n):
+        _assert_names_read_off(make_biquadratic(m, n))
+
+    def test_build_and_decide_look_up_no_name(self, monkeypatch):
         ring = make_cyclotomic(7)
-        rings._names_by_images.cache_clear()
-        sigma, tau = _endo(ring, 3), _endo(ring, 6)
+        sigma, tau = (algebra.Endomorphism(ring.spec, _endo(ring, u).images) for u in (3, 6))
+        calls = _count_calls(monkeypatch, rings, "_endomorphism_images")
         beta = (1, -2, 0, 3, 0, 1)
         inner = inner_derivation(ring.spec, sigma, tau, beta)
         outer = build_cyclotomic_derivation(ring, sigma, tau, (1, 0, 0, 0, 0, 0))
         assert cyclotomic_inner_conjectural(ring, sigma, tau, inner).witness == beta
         assert derivations._cyclotomic_inner_adjugate(ring, sigma, tau, inner).witness == beta
         assert not cyclotomic_inner_conjectural(ring, sigma, tau, outer).inner
-        assert rings._names_by_images.cache_info().misses == 0
+        data = derivation_to_json(ring, sigma, tau, outer)
+        assert (data["sigma"], data["tau"]) == ("3", "6")
+        assert calls == []
 
 
 class TestWitnessPowerScaling:
@@ -829,7 +846,7 @@ class TestSerialization:
         ring = make_biquadratic(2, 3)
         d = build_biquadratic_derivation(ring, _endo(ring, "phi1"), _endo(ring, "phi2"), (1, 0, 0, 0))
         not_an_endomorphism = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        with pytest.raises(ValueError, match="not in the ring's enumeration"):
+        with pytest.raises(ValueError, match="not an endomorphism"):
             derivation_to_json(ring, not_an_endomorphism, _endo(ring, "phi2"), d)
 
     def test_json_uses_names(self):
@@ -898,6 +915,26 @@ class TestValidateOnce:
         calls = _count_calls(monkeypatch, algebra, "endomorphism_failure")
         assert classify_biquadratic(ring, sigma, tau) == ("II", -1)
         assert calls == []
+
+    def test_classify_checks_raw_images(self):
+        ring = make_biquadratic(2, 3)
+        doubling = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="not an endomorphism"):
+            classify_biquadratic(ring, doubling, _endo(ring, "phi2").images)
+        raw = (_endo(ring, "phi2").images, _endo(ring, "phi4").images)
+        assert classify_biquadratic(ring, *raw) == ("II", -1)
+
+    @pytest.mark.parametrize("entry", ["build", "inner"])
+    def test_raw_biquadratic_pair_is_checked_once(self, monkeypatch, entry):
+        ring = make_biquadratic(2, 3)
+        sigma, tau = _endo(ring, "phi1").images, _endo(ring, "phi4").images
+        d = build_biquadratic_derivation(ring, _endo(ring, "phi1"), _endo(ring, "phi4"), (0, 1, 0, 0))
+        calls = _count_calls(monkeypatch, algebra, "endomorphism_failure")
+        if entry == "build":
+            build_biquadratic_derivation(ring, sigma, tau, (0, 1, 0, 0))
+        else:
+            biquadratic_inner(ring, sigma, tau, LinearMap(ring.spec, d.images))
+        assert len(calls) == 2
 
     def test_raw_twist_images_are_checked(self):
         ring = make_cyclotomic(5)
