@@ -119,7 +119,8 @@ def _cmd_check(args, out) -> int:
         d = LinearMap(ring.spec, _parse_images(args.images))
     fail = derivation_failure(ring.spec, d, sigma, tau)
     if fail is None:
-        print(f"derivation law holds for ({sigma.name}, {tau.name})", file=out)
+        names = ", ".join(rings._name_of(ring, m) for m in (sigma, tau))
+        print(f"derivation law holds for ({names})", file=out)
         return 0
     print(f"derivation law fails at basis pair {fail}", file=out)
     return 1
@@ -358,16 +359,6 @@ def _attach_coordinate_values(argv) -> list[str]:
     return out
 
 
-def _reported_errors() -> tuple[type[Exception], ...]:
-    """Errors printed as one "error:" line: bad input, and a code too large
-    for its enumeration budget. codes is imported only by the commands that
-    call it, and a module never imported raised nothing, so its
-    BudgetExceededError is looked up only once codes is loaded."""
-    errors = (ValueError, OSError)
-    codes = sys.modules.get(f"{__package__}.codes")
-    return errors if codes is None else (*errors, codes.BudgetExceededError)
-
-
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
@@ -376,7 +367,7 @@ def run(argv) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be positive")
         return args.func(args, sys.stdout)
-    except _reported_errors() as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

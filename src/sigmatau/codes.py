@@ -35,8 +35,9 @@ from .rings import endomorphism_by_name, make_cyclotomic
 DEFAULT_BUDGET = 1 << 24
 
 
-class BudgetExceededError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured codeword budget."""
+class BudgetExceededError(RuntimeError, ValueError):
+    """Exhaustive enumeration would exceed the configured codeword budget;
+    a ValueError too, since the input asks for more than the budget allows."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -381,17 +381,13 @@ def is_inner_generic(ring, sigma, tau, D) -> InnernessVerdict:
 
 # ------------------------------------------------------------- serialization
 
-def _endo_name(ring, endo) -> str:
-    images = _images_of(endo, ring.spec)  # raw images are checked here, once
-    endo = endo if isinstance(endo, Endomorphism) else Endomorphism(ring.spec, images)
-    return endo.name or _name_of(ring, endo)
-
-
 def derivation_to_json(ring, sigma, tau, D) -> dict:
+    """JSON form of D with its pair; sigma and tau are named by their images."""
+    sigma, tau = _twist_pair(ring.spec, sigma, tau)
     return {
         "ring": ring_to_json(ring),
-        "sigma": _endo_name(ring, sigma),
-        "tau": _endo_name(ring, tau),
+        "sigma": _name_of(ring, sigma),
+        "tau": _name_of(ring, tau),
         "images": [list(img) for img in _images_of(D, ring.spec)],
     }
 

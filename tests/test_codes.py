@@ -198,6 +198,11 @@ class TestMinDistance:
         with pytest.raises(BudgetExceededError, match="exceeds the budget"):
             min_distance(code, budget=3)
 
+    def test_budget_error_is_an_input_error(self):
+        # cli.run reports it, like every bad input, by catching ValueError
+        assert issubclass(BudgetExceededError, RuntimeError)
+        assert issubclass(BudgetExceededError, ValueError)
+
     def test_zero_code_rejected(self):
         code = LinearCode(2, 4, [])
         with pytest.raises(ValueError, match="zero code"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sigmatau.algebra import (
     smul,
     sub,
 )
+from sigmatau.cli import _parse_ring
 from sigmatau.derivations import (
     DerivationSpace,
     biquadratic_basis,
@@ -39,6 +41,7 @@ from sigmatau.rings import (
     zeta_power,
 )
 
+from .golden.regen import RINGS as GOLDEN_RINGS
 from .oracles import basis_elements, derivation_law_holds, ring_multiply, stacked_inner_witness
 
 D_ZETA_P17 = (1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0)
@@ -848,6 +851,25 @@ class TestSerialization:
         not_an_endomorphism = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         with pytest.raises(ValueError, match="not an endomorphism"):
             derivation_to_json(ring, not_an_endomorphism, _endo(ring, "phi2"), d)
+
+    @pytest.mark.parametrize("ring_arg", GOLDEN_RINGS)
+    def test_names_are_read_off_the_images(self, ring_arg):
+        # every ordered pair, given as enumerated maps, as raw images and as
+        # maps labelled with another map's name, round-trips to its images
+        ring = _parse_ring(ring_arg)
+        endos = endomorphisms(ring)
+        d = LinearMap(ring.spec, [ring.spec.basis(i) for i in range(ring.spec.rank)])
+        for sigma, tau in itertools.permutations(endos, 2):
+            relabelled = (algebra.Endomorphism(ring.spec, sigma.images, name=tau.name),
+                          algebra.Endomorphism(ring.spec, tau.images, name=sigma.name))
+            for pair in ((sigma, tau), (sigma.images, tau.images), relabelled):
+                _, sigma2, tau2, d2 = derivation_from_json(derivation_to_json(ring, *pair, d))
+                assert (sigma2.images, tau2.images, d2.images) == (sigma.images, tau.images, d.images)
+        for m in endos:
+            other = next(e for e in endos if e != m)
+            for same in (m, m.images, algebra.Endomorphism(ring.spec, m.images, name=other.name)):
+                with pytest.raises(ValueError, match="sigma and tau must differ"):
+                    derivation_to_json(ring, same, m, d)
 
     def test_json_uses_names(self):
         ring = make_biquadratic(2, 3)
