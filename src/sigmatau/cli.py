@@ -54,13 +54,15 @@ def _ring_args(args):
 
 def _build_derivation(ring, sigma, tau, args) -> Derivation:
     """Build the map from --dzeta (cyclotomic convenience) or --images."""
-    if getattr(args, "dzeta", None) is not None:
+    if args.dzeta is not None and args.images is not None:
+        raise ValueError("give one of --dzeta or --images, not both")
+    if args.dzeta is not None:
         if not isinstance(ring, rings.CyclotomicRing):
             raise ValueError("--dzeta applies to cyclotomic rings only; use --images")
         return derivations.build_cyclotomic_derivation(
             ring, sigma, tau, _parse_ints(args.dzeta)
         )
-    if getattr(args, "images", None) is not None:
+    if args.images is not None:
         return Derivation(ring.spec, _parse_images(args.images), sigma, tau)
     raise ValueError("one of --dzeta or --images is required")
 
@@ -105,6 +107,11 @@ def _cmd_derive(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    inline = (args.ring, args.sigma, args.tau, args.images)
+    if args.from_file and any(v is not None for v in inline):
+        raise ValueError(
+            "--from-file reads the whole derivation; drop --ring, --sigma, --tau and --images"
+        )
     if args.from_file == "-":
         ring, sigma, tau, d = derivations.derivation_from_json(json.load(sys.stdin))
     elif args.from_file:
@@ -209,7 +216,7 @@ def _cmd_code(args, out) -> int:
 
 def _reproduce_32(out) -> bool:
     """p=5 fixture: the matrix, its determinant, and the non-inner verdict
-    of the generic solver and the paper's adjugate route."""
+    of the generic solver and the proven coordinate-sum test."""
     from . import codes, conjecture
     from .intlinalg import det_bareiss
 
@@ -226,7 +233,7 @@ def _reproduce_32(out) -> bool:
     tau = rings.endomorphism_by_name(ring, 2)
     d = derivations.build_cyclotomic_derivation(ring, sigma, tau, (0, 1, 0, 0))
     v1 = derivations.is_inner_generic(ring, sigma, tau, d)
-    v2 = derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
+    v2 = derivations.cyclotomic_inner_conjectural(ring, sigma, tau, d)
     ok_inner = (not v1.inner) and (not v2.inner)
     print(f"D(z)=z at p=5 not inner by both deciders: "
           f"{'PASS' if ok_inner else 'FAIL'}", file=out)
@@ -374,3 +381,7 @@ def run(argv) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

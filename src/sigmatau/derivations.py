@@ -93,11 +93,11 @@ def _make_space(ring, maps: list[Derivation]) -> DerivationSpace:
 
 # ---------------------------------------------------------------- cyclotomic
 
-def _reindex(p: int, c, a: int, e: int) -> Coords:
-    # coordinates of sum_i c_i z^(a (i + e)) on the power basis
-    out = [0] * p
-    for i, v in enumerate(c):
-        out[a * (i + e) % p] += v
+def _rotate(p: int, c, e: int) -> Coords:
+    # coordinates of z^e sum_i c_i z^i on the power basis, for c of length p - 1 or p
+    full = tuple(c) + (0,) * (p - len(c))
+    e %= p
+    out = full[-e:] + full[:-e]
     top = out[p - 1]
     return tuple(v - top for v in out[:-1])
 
@@ -115,7 +115,7 @@ def build_cyclotomic_derivation(ring: CyclotomicRing, sigma, tau, d_zeta) -> Der
     d_zeta = spec.element(d_zeta)
     images = [spec.zero(), d_zeta]
     for k in range(1, ring.p - 2):
-        images.append(add(_reindex(ring.p, images[k], 1, w), _reindex(ring.p, d_zeta, 1, u * k)))
+        images.append(add(_rotate(ring.p, images[k], w), _rotate(ring.p, d_zeta, u * k)))
     return Derivation(spec, images, sigma, tau)
 
 
@@ -128,21 +128,21 @@ def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
 
 
 def _cyclotomic_quotient(p: int, u: int, w: int, c: Coords) -> Coords:
-    """beta with c = beta (z^w - z^u), for c whose coordinate sum p divides.
+    """beta with c = beta (z^w - z^u), for c whose coordinate sum s p divides.
 
-    z^w - z^u = z^u (z^k - 1) with k = w - u, so: multiply c by z^-u and
-    apply z -> z^(1/k), which leaves g(beta) (z - 1); divide by z - 1; map
-    back with z -> z^k. Each step is one pass over the coordinates.
+    With gamma = beta z^u and k = w - u, (z^k - 1) gamma = c modulo
+    1 + z + ... + z^(p-1) reads gamma_{j+k} = gamma_j + s/p - c_{j+k} on p
+    coordinates (c_{p-1} = 0). Walk it once around j = 0, k, 2k, ... from
+    gamma_0 = 0, then rotate by z^-u.
     """
-    k = (w - u) % p
-    x = _reindex(p, c, pow(k, -1, p), -u)
-    # synthetic division: x = (z - 1) q + x(1), with x(1) = p m, and
-    # p = -(z - 1) sum_{j <= p-2} (p - 1 - j) z^j
-    q = [0] * (p - 1)
-    for j in range(p - 3, -1, -1):
-        q[j] = q[j + 1] + x[j + 1]
-    m = (q[0] + x[0]) // p
-    return _reindex(p, [v - m * (p - 1 - j) for j, v in enumerate(q)], k, 0)
+    k, m, c = (w - u) % p, sum(c) // p, (*c, 0)
+    gamma = [0] * p
+    j = 0
+    for _ in range(p - 1):
+        nxt = (j + k) % p
+        gamma[nxt] = gamma[j] + m - c[nxt]
+        j = nxt
+    return _rotate(p, gamma, -u)
 
 
 def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
@@ -179,7 +179,8 @@ def _adjugate_det_A(p: int, u: int, w: int):
 
 
 def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
-    """The paper's route, kept for reproduce-paper and as a test oracle:
+    """The paper's route, which no CLI command runs; a test oracle until
+    ROADMAP item 8 removes it:
     inner iff det(A) divides every entry of adj(A) D(z), with A the
     multiplication-by-(tau - sigma)(z) matrix. Builds n^2 cofactors, so
     O(p^5). det(A) = +-p is a theorem (see cyclotomic_inner_conjectural), so

@@ -187,6 +187,11 @@ def _errors_and_checks():
           "--dzeta", "1,1,1,1,0,1,0,1,1,0,0,1,0,0,0,0", "--subset")
     yield (*s8, "2,3,7,8", "--budget", "3"), ""
     yield (*s8, "1,1"), ""
+    # conflicting inputs are refused, not silently resolved
+    yield ("inner", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
+           "--dzeta", "1,0,0,0", "--images", "0,0,0,0"), ""
+    yield ("check", "--from-file", "-", "--ring", "quadratic:2", "--sigma", "id", "--tau", "conj",
+           "--images", "0,0;9,9"), derived
 
 
 def commands():

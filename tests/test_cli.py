@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmatau
-from sigmatau import algebra, conjecture, rings
+from sigmatau import algebra, conjecture, derivations, intlinalg, rings
 from sigmatau.cli import run
 
 
@@ -112,6 +112,31 @@ class TestDeriveAndCheck:
         )
         assert status == 1
         assert "cyclotomic" in err
+
+    @pytest.mark.parametrize("command", ["derive", "inner", "code"])
+    def test_dzeta_and_images_together_refused(self, capsys, command):
+        argv = [command, "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
+                "--dzeta", "1,0,0,0", "--images", "0,0,0,0"]
+        if command == "code":
+            argv += ["--subset", "1,2"]
+        status, out, err = _run(capsys, *argv)
+        assert (status, out, err) == (1, "", "error: give one of --dzeta or --images, not both\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ring", "quadratic:2"), ("--sigma", "id"), ("--tau", "conj"), ("--images", "0,0;9,9"),
+    ])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_from_file_refuses_inline_flags(self, capsys, monkeypatch, tmp_path, flag, value, stdin):
+        source = tmp_path / "d.json"
+        source.write_text(json.dumps(_GOOD_DOC))
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_GOOD_DOC)))
+            source = "-"
+        status, out, err = _run(capsys, "check", "--from-file", str(source), flag, value)
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: --from-file reads the whole derivation; drop --ring, --sigma, --tau and --images\n"
+        )
 
     def test_bad_images_rejected(self, capsys):
         status, _, err = _run(
@@ -342,11 +367,20 @@ class TestCode:
 
 
 class TestReproduce:
-    def test_section_32(self, capsys):
+    def test_section_32(self, capsys, monkeypatch):
+        # the seed is decided without the paper's O(p^5) adjugate route
+        calls = []
+        for module, name in ((intlinalg, "adjugate"), (derivations, "_adjugate_det_A")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, n=name, f=real: calls.append(n) or f(*a))
         status, out, _ = _run(capsys, "reproduce-paper", "--section", "3.2")
         assert status == 0
-        assert out.count("PASS") == 3
-        assert "FAIL" not in out
+        assert out.splitlines() == [
+            "build_A(5,1,2) matches golden: PASS",
+            "det == 5: PASS",
+            "D(z)=z at p=5 not inner by both deciders: PASS",
+        ]
+        assert calls == []
 
     def test_section_44(self, capsys):
         status, out, _ = _run(capsys, "reproduce-paper", "--section", "4.4")
@@ -462,3 +496,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "endomorphisms: 1, 2, 3, 4" in proc.stdout
+
+
+def test_cli_module_runs_as_a_script():
+    # python -m sigmatau.cli is the same CLI as the sigmatau entry point
+    src = Path(sigmatau.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmatau.cli", "inner", "--ring", "cyclotomic:5",
+         "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("not inner") == 2

@@ -712,6 +712,25 @@ class TestProvenCyclotomicTest:
                     if beta is not None:
                         assert proven.witness == beta
 
+    def test_quotient_walk_on_every_pair_to_p31(self):
+        # a planted beta comes back exactly, and a random c whose coordinate
+        # sum p divides is reproduced by its quotient, at every odd prime p <= 31
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            rng = random.Random(p)
+            ring = make_cyclotomic(p)
+            for u in range(1, p):
+                for w in range(1, p):
+                    if u == w:
+                        continue
+                    divisor = sub(zeta_power(ring, w), zeta_power(ring, u))
+                    beta = _random_coords(rng, p - 1)
+                    c = mul(ring.spec, beta, divisor)
+                    assert derivations._cyclotomic_quotient(p, u, w, c) == beta
+                    c = list(_random_coords(rng, p - 1))
+                    c[0] -= sum(c) % p
+                    quotient = derivations._cyclotomic_quotient(p, u, w, tuple(c))
+                    assert mul(ring.spec, quotient, divisor) == tuple(c)
+
     def test_no_adjugate_or_determinant_at_p31(self, monkeypatch):
         rng = random.Random(31)
         ring = make_cyclotomic(31)
