@@ -373,6 +373,8 @@ def run(argv) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be positive")
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ValueError("budget must be positive")
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

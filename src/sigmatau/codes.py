@@ -3,9 +3,19 @@
 Pipeline: a derivation D of a rank-n ring gives the n x n integer matrix B
 whose row i holds the coordinates of D applied to the i-th basis element;
 a subset T of rows that is Z-linearly independent is reduced entrywise mod a
-prime q and spans the code. Dimension comes from the mod-q rref, minimum
-distance from exhaustive codeword enumeration, duals from the nullspace, and
-the LCD property from det(G G^T) mod q.
+prime q and spans the code. Each code is eliminated once, when it is built,
+to its unique rref (standard_form), whose rank is the dimension. The dual's
+generators are read off the pivots of that form, one per free column, and
+only the dual's own construction eliminates again. A code is LCD iff its
+Gram matrix G G^T is nonsingular mod q (Massey, 1992). Minimum distance
+comes from exhaustive codeword enumeration.
+
+Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
+the generator rows onward: rref is one XOR pass over the masks, the dual's
+generators are masks, the Gram entries are parities of popcounts of ANDed
+rows and its rank is found by XOR, and the enumeration kernels take the
+masks as they are. Over GF(q > 2) rows stay lists: rref is
+intlinalg.rref_mod_q and the Gram determinant is Bareiss's, taken mod q.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
 q^k exceeds the codeword budget. The pure backend enumerates bit-sliced:
@@ -84,24 +94,38 @@ def omega_reduce(m, q: int) -> list[list[int]]:
 
 class LinearCode:
     """Code over GF(q) spanned by generator rows; rref and rank are eager,
-    distance and weight distribution are computed on demand and cached."""
+    distance and weight distribution are computed on demand and cached.
 
-    __slots__ = ("q", "n", "standard_form", "k", "selected", "_d", "_wd")
+    Over GF(2) the reduced rows are also kept as bit masks (bit c holds
+    coordinate c), which the dual, the LCD test and the enumerations read.
+    """
+
+    __slots__ = ("q", "n", "standard_form", "k", "selected", "_masks", "_d", "_wd")
 
     def __init__(self, q: int, n: int, generator, selected: int | None = None):
         intlinalg._require_prime(q)
-        self.q = q
-        self.n = n
-        rows = [[v % q for v in row] for row in generator]
+        # a float or other non-integer entry raises TypeError
+        rows = [list(map(operator.index, row)) for row in generator]
         for row in rows:
             if len(row) != n:
                 raise ValueError("generator rows must have the code length")
-        red, rank, _ = intlinalg.rref_mod_q(rows, q) if rows else ([], 0, [])
-        self.standard_form = tuple(tuple(r) for r in red[:rank])
-        self.k = rank
+        self.q = q
+        self.n = n
         self.selected = selected
         self._d: int | None = None
         self._wd: tuple[int, ...] | None = None
+        if q == 2:
+            self._reduce_gf2(map(_row_mask, rows))
+        else:
+            red, rank, _ = intlinalg.rref_mod_q(rows, q) if rows else ([], 0, [])
+            self.standard_form = tuple(tuple(r) for r in red[:rank])
+            self.k = rank
+            self._masks = None
+
+    def _reduce_gf2(self, masks) -> None:
+        self._masks = tuple(_rref_gf2(masks))
+        self.standard_form = tuple(_mask_row(m, self.n) for m in self._masks)
+        self.k = len(self._masks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -113,6 +137,44 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
+
+
+def _row_mask(row) -> int:
+    """Bit mask of a row of integers mod 2: bit c holds coordinate c."""
+    m = 0
+    for v in reversed(row):
+        m = m << 1 | (v & 1)
+    return m
+
+
+# ASCII "0" and "1" to the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_row(m: int, n: int) -> tuple[int, ...]:
+    """Coordinates 0..n-1 of a mask: its n binary digits, lowest first."""
+    return tuple(format(m, f"0{n}b")[::-1].encode().translate(_DIGITS))
+
+
+def _rref_gf2(masks) -> list[int]:
+    """Reduced row echelon form over GF(2) of rows given as bit masks.
+
+    Each kept row's pivot is its lowest set bit, and no other row holds that
+    bit; the rows come back sorted by pivot, zero rows dropped. One XOR pass:
+    each new row is cleared of the kept pivots, then its own pivot is cleared
+    from the kept rows.
+    """
+    rows: list[int] = []
+    for m in masks:
+        for r in rows:
+            if m & (r & -r):
+                m ^= r
+        if m:
+            low = m & -m
+            rows = [r ^ m if r & low else r for r in rows]
+            rows.append(m)
+    rows.sort(key=lambda r: r & -r)
+    return rows
 
 
 def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
@@ -133,10 +195,6 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
             stacklevel=2,
         )
     return code
-
-
-def _gf2_masks(code: LinearCode) -> list[int]:
-    return [sum(1 << i for i, v in enumerate(row) if v) for row in code.standard_form]
 
 
 def _check_budget(code: LinearCode, budget: int) -> None:
@@ -161,7 +219,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     if code._d is None:
         if code.q == 2:
             _check_budget(code, budget)
-            code._d = _backend.min_weight_gf2(_gf2_masks(code), code.n)
+            code._d = _backend.min_weight_gf2(code._masks, code.n)
         else:
             weight_distribution(code, budget)
     return code._d
@@ -179,7 +237,7 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
         return code._wd
     _check_budget(code, budget)
     if code.q == 2:
-        counts = _pykernels.weight_counts_gf2(_gf2_masks(code), code.n)
+        counts = _pykernels.weight_counts_gf2(code._masks, code.n)
     else:
         counts = _pykernels.weight_counts_modq(code.standard_form, code.q, code.n)
     wd = tuple(counts)
@@ -194,15 +252,44 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """Orthogonal complement; dimensions always satisfy k + dual k == n."""
-    if code.k == 0:
-        return LinearCode(code.q, code.n, intlinalg.identity(code.n))
-    null = intlinalg.nullspace_mod_q([list(r) for r in code.standard_form], code.q)
-    return LinearCode(code.q, code.n, null)
+    """Orthogonal complement; dimensions always satisfy k + dual k == n.
+
+    The null basis is read off the pivots of the standard form: each free
+    column f gives the word with 1 at f and -R[r][f] at the pivot of each
+    row r. Only the dual's own reduction eliminates.
+    """
+    q, n = code.q, code.n
+    if q == 2:
+        masks = code._masks
+        pivots = sum(m & -m for m in masks)
+        free = [1 << f for f in range(n) if not pivots >> f & 1]
+        dual = LinearCode(2, n, ())
+        dual._reduce_gf2([f | sum(m & -m for m in masks if m & f) for f in free])
+        return dual
+    form = code.standard_form
+    pivots = [next(c for c, v in enumerate(row) if v) for row in form]
+    null = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = 1
+            for col, row in zip(pivots, form):
+                v[col] = -row[f] % q
+            null.append(v)
+    return LinearCode(q, n, null)
 
 
 def is_lcd(code: LinearCode) -> bool:
-    """True iff the code meets its dual only in 0: det(G G^T) != 0 mod q."""
+    """True iff the code meets its dual only in 0: det(G G^T) != 0 mod q.
+
+    Over GF(2) the Gram matrix G G^T is built on masks, entry (i, j) being
+    the parity of the number of coordinates where rows i and j both hold 1,
+    and its rank is found by XOR.
+    """
+    if code.q == 2:
+        g = code._masks
+        gram = [sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g)) for a in g]
+        return len(_rref_gf2(gram)) == code.k
     g = [list(r) for r in code.standard_form]
     if not g:
         return True

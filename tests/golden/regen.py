@@ -182,11 +182,13 @@ def _errors_and_checks():
     code = ("code", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0", "--subset", "1,2")
     for argv in (("sweep", "--max-p", "5"), ("reproduce-paper", "--section", "3.2"), code):
         yield (*argv, "--jobs", "0"), ""
-    # the two refusals of code, on the S8 code: a budget below q^k, and a dependent subset
+    # the refusals of code, on the S8 code: a budget below q^k, a dependent
+    # subset, and a budget below 1, refused like --jobs 0
     s8 = ("code", "--ring", "cyclotomic:17", "--sigma", "1", "--tau", "3",
           "--dzeta", "1,1,1,1,0,1,0,1,1,0,0,1,0,0,0,0", "--subset")
     yield (*s8, "2,3,7,8", "--budget", "3"), ""
     yield (*s8, "1,1"), ""
+    yield (*s8, "2,3,7,8", "--budget", "-1"), ""
     # conflicting inputs are refused, not silently resolved
     yield ("inner", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
            "--dzeta", "1,0,0,0", "--images", "0,0,0,0"), ""

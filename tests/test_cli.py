@@ -360,6 +360,12 @@ class TestCode:
         assert status == 1
         assert "error:" in err and "budget" in err
 
+    def test_budget_below_one_refused(self, capsys):
+        for budget in ("0", "-1"):
+            status, out, err = _run(capsys, *self.ARGS, "--budget", budget)
+            assert (status, out) == (1, "")
+            assert err == "error: budget must be positive\n"
+
     def test_dependent_subset(self, capsys):
         status, _, err = _run(capsys, *self.ARGS[:-1], "1,1")
         assert status == 1

@@ -3,6 +3,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given
 
 from sigmatau import _pykernels, intlinalg
 from sigmatau.codes import (
@@ -28,6 +29,7 @@ from sigmatau.intlinalg import rref_mod_q
 from sigmatau.rings import endomorphism_by_name, make_cyclotomic, make_quadratic
 
 from .oracles import naive_min_distance, naive_weight_counts, odometer_weight_counts
+from .strategies import DIFFERENTIAL, generator_matrices
 
 
 def _reference_matrix():
@@ -138,6 +140,12 @@ class TestLinearCode:
     def test_row_length_checked(self):
         with pytest.raises(ValueError, match="code length"):
             LinearCode(2, 4, [[1, 0]])
+
+    def test_non_integer_entries_rejected(self):
+        # mod-2 masks would read 1.0 as 1; every field checks entries first
+        for q in (2, 3):
+            with pytest.raises(TypeError):
+                LinearCode(q, 3, [[1.0, 0, 1]])
 
     def test_modulus_checked(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -339,6 +347,11 @@ class TestLcd:
     def test_empty_code_is_lcd(self):
         assert is_lcd(LinearCode(2, 4, []))
 
+    def test_gram_parity(self):
+        # over GF(2) only the parity of each Gram entry counts
+        assert not is_lcd(LinearCode(2, 3, [[1, 1, 0]]))  # G G^T = [2]
+        assert is_lcd(LinearCode(2, 3, [[1, 1, 1]]))  # G G^T = [3]
+
     def test_flag_matches_trivial_intersection(self):
         b = _reference_matrix()
         for exponents in load_reference_fixture()["subsets"][:6]:
@@ -347,6 +360,28 @@ class TestLcd:
             stacked = [list(r) for r in code.standard_form + dual.standard_form]
             trivial = rref_mod_q(stacked, 2)[1] == code.k + dual.k
             assert is_lcd(code) == trivial
+
+
+class TestAgainstListAlgebra:
+    """Each code's rref, dual and LCD flag against intlinalg's list routines,
+    which the GF(2) mask path and the pivot-read dual bypass."""
+
+    @DIFFERENTIAL
+    @given(generator_matrices())
+    def test_matches_rref_nullspace_and_bareiss(self, drawn):
+        q, n, rows = drawn
+        red, rank, _ = rref_mod_q(rows, q) if rows else ([], 0, [])
+        form = tuple(tuple(r) for r in red[:rank])
+        null = intlinalg.nullspace_mod_q(rows, q) if rows else intlinalg.identity(n)
+        dual_red, dual_rank, _ = rref_mod_q(null, q) if null else ([], 0, [])
+        g = [list(r) for r in form]
+        lcd = not g or intlinalg.det_bareiss(intlinalg.mat_mul(g, intlinalg.transpose(g))) % q != 0
+        code = LinearCode(q, n, rows)
+        assert (code.standard_form, code.k) == (form, rank)
+        dual = dual_code(code)
+        assert dual.standard_form == tuple(tuple(r) for r in dual_red[:dual_rank])
+        assert dual.k == dual_rank == n - rank
+        assert is_lcd(code) == lcd
 
 
 class TestReports:
