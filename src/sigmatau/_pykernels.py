@@ -86,13 +86,20 @@ def derivation_failure(table, d, sig, tau):
 
 
 def _law_failure(table, d, sig, tau, pairs):
-    # derivation_failure's law on the given pairs, in their order
+    # derivation_failure's law on the given pairs, in their order. D of a
+    # cell is kept by the cell's identity: AlgebraSpec stores equal cells as
+    # one tuple, so a power basis has 2n - 1 distinct cells, not n^2.
     n = len(table)
     d_supp, s_supp, t_supp = ([_support(row) for row in m] for m in (d, sig, tau))
+    lhs = {}
     for i, j in pairs:
         rhs = _expand(table, d_supp[i], t_supp[j], [0] * n)
         _expand(table, s_supp[i], d_supp[j], rhs)
-        if _apply(d, table[i][j]) != tuple(rhs):
+        cell = table[i][j]
+        want = lhs.get(id(cell))
+        if want is None:
+            want = lhs[id(cell)] = _apply(d, cell)
+        if want != tuple(rhs):
             return (i, j)
     return None
 

@@ -189,8 +189,9 @@ class Endomorphism(LinearMap):
 
 
 class Derivation(LinearMap):
-    """(sigma, tau)-derivation, checked once at construction; sigma and tau
-    are kept as Endomorphisms (see _twist_pair)."""
+    """(sigma, tau)-derivation, checked once at construction (or made by
+    _scaled from one that was); sigma and tau are kept as Endomorphisms
+    (see _twist_pair)."""
 
     __slots__ = ("sigma", "tau")
 
@@ -201,8 +202,17 @@ class Derivation(LinearMap):
         if bad is not None:
             raise ValueError(f"D is not a derivation for this pair (law fails at basis pair {bad})")
 
+    def _scaled(self, c: Sequence[int]) -> Derivation:
+        """x -> c D(x). The law is linear in D and the algebra commutative,
+        so this is a derivation for the same pair and is not scanned."""
+        spec = self.spec
+        out = Derivation.__new__(Derivation)
+        LinearMap.__init__(out, spec, [mul(spec, c, img) for img in self.images])
+        out.sigma, out.tau = self.sigma, self.tau
+        return out
+
     def checked_for(self, spec: AlgebraSpec, sigma, tau) -> bool:
-        """True when the law was checked at construction for this spec and pair."""
+        """True when D is known to satisfy the law for this spec and pair."""
         return self.spec == spec and (self.sigma, self.tau) == (sigma, tau)
 
 

@@ -2,9 +2,11 @@
 
 Each test asserts the mathematical result exactly and then its wall-clock
 budget, so a regression in either correctness or asymptotics fails loudly.
-The budgets are meant to hold on the pure backend. Measured pure on a shared
-2-core host, criterion 7 took 61.5 s against 60 s and criterion 8 took 5.05 s
-against 5 s, on wall-clock alone with every result correct; the fix is to
+The budgets are meant to hold on the pure backend. Criterion 8 now scans one
+derivation per (sigma, tau) pair, the first basis map, and takes about 1 s
+pure. Criterion 7 still scans all n^2 basis pairs of every derivation it
+builds: on a shared 2-core host it took 43-48 s against 60 s, where the
+parent took 51-57 s and, in slow phases, over 60 s. The fix for that is to
 check the law on generator pairs (ROADMAP items 1 and 2), not a larger budget.
 """
 
