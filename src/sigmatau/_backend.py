@@ -2,7 +2,8 @@
 
 Set SIGMATAU_PURE=1 in the environment to force the pure backend. Every
 compiled kernel raises OverflowError when its fixed-width arithmetic cannot
-hold the inputs, and the wrappers here retry with the pure twin, so results
+hold the inputs, and the wrappers here retry with the pure twin, or for the
+GF(2) walk return None so that the caller reads the pure histogram; results
 never depend on which backend ran.
 """
 
@@ -41,21 +42,18 @@ def derivation_failure(table, d, sig, tau):
     return _pykernels.derivation_failure(table, d, sig, tau)
 
 
-def min_weight_gf2(masks, n: int):
-    """Minimum weight over the codewords of all nonzero messages; None for k = 0.
+def min_weight_gf2(masks):
+    """Minimum weight over the codewords of all nonzero messages, by the
+    compiled Gray walk; None for k = 0, without the extension, or when the
+    masks overflow its u64 words.
 
-    masks[b] is generator row b as a bitmask of the n columns. A nonzero
-    message that gives the zero word makes the answer 0.
+    masks[b] is generator row b as a bitmask. A nonzero message that gives
+    the zero word makes the answer 0. It has no pure twin: codes reads the
+    minimum off the pure weight histogram instead.
     """
-    k = len(masks)
-    if k == 0:
+    if _kernels is None or not masks:
         return None
-    if _kernels is not None:
-        try:
-            return _kernels.min_weight_gf2_u64(masks, 1, (1 << k) - 1)
-        except OverflowError:
-            pass
-    counts = _pykernels._weight_counts_gf2(masks, n)
-    if counts[0] > 1:
-        return 0
-    return next(w for w in range(1, n + 1) if counts[w])
+    try:
+        return _kernels.min_weight_gf2_u64(masks, 1, (1 << len(masks)) - 1)
+    except OverflowError:
+        return None

@@ -141,12 +141,6 @@ def weight_counts_gf2(masks, n: int) -> list[int]:
 
     masks[b] is generator row b as a bitmask of its n columns.
     """
-    return _weight_counts_gf2(masks, n)
-
-
-def _weight_counts_gf2(masks, n: int) -> list[int]:
-    # _backend calls this private name, so a wrapper put around the public
-    # kernel (as perfbench's tracer does) leaves its time with the caller.
     # Bit-sliced: lane m of a big int holds one coordinate of the codeword of
     # message m. The low rows span the lanes of a block; the high rows step
     # in Gray order, one XOR per block, and flip whole columns.

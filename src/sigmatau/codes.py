@@ -7,24 +7,25 @@ prime q and spans the code. Each code is eliminated once, when it is built,
 to its unique rref (standard_form), whose rank is the dimension. The dual's
 generators are read off the pivots of that form, one per free column, and
 only the dual's own construction eliminates again. A code is LCD iff its
-Gram matrix G G^T is nonsingular mod q (Massey, 1992). Minimum distance
-comes from exhaustive codeword enumeration.
+Gram matrix G G^T has full rank k over GF(q), on every field (Massey, 1992).
+Minimum distance comes from exhaustive codeword enumeration.
 
 Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
 the generator rows onward: rref is one XOR pass over the masks, the dual's
 generators are masks, the Gram entries are parities of popcounts of ANDed
 rows and its rank is found by XOR, and the enumeration kernels take the
-masks as they are. Over GF(q > 2) rows stay lists: rref is
-intlinalg.rref_mod_q and the Gram determinant is Bareiss's, taken mod q.
+masks as they are. Over GF(q > 2) rows stay lists, and both the code's rref
+and the Gram rank are intlinalg.rref_mod_q's.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
-q^k exceeds the codeword budget. The pure backend enumerates bit-sliced:
-each bit of a big int is one message's coordinate, so one integer operation
-advances up to 2^14 codewords, and a ripple counter of bit planes yields the
-exact weight histogram. Over GF(q > 2) each column keeps q one-hot lane
-masks, one per residue, and the histogram is cached with the minimum
-distance read off it, so a code is enumerated once whichever of the two is
-asked for first.
+q^k exceeds the codeword budget. The pure backend builds one weight
+histogram per code, bit-sliced: each bit of a big int is one message's
+coordinate, so one integer operation advances up to 2^14 codewords, and a
+ripple counter of bit planes yields the exact counts (over GF(q > 2) each
+column keeps q one-hot lane masks, one per residue). The histogram is
+cached with the minimum distance read off it, so a code is enumerated once
+whichever of the two is asked for first. The only other path is the
+compiled Gray walk, which gives a GF(2) minimum without a histogram.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def independent_subset_check(B: IddMatrix, T) -> bool:
 def omega_reduce(m, q: int) -> list[list[int]]:
     """Entrywise reduction into [0, q), q prime."""
     intlinalg._require_prime(q)
-    return [[v % q for v in row] for row in m]
+    # a float or other non-integer entry raises TypeError
+    return [[operator.index(v) % q for v in row] for row in m]
 
 
 class LinearCode:
@@ -117,7 +119,7 @@ class LinearCode:
         if q == 2:
             self._reduce_gf2(map(_row_mask, rows))
         else:
-            red, rank, _ = intlinalg.rref_mod_q(rows, q) if rows else ([], 0, [])
+            red, rank, _ = intlinalg.rref_mod_q(rows, q)
             self.standard_form = tuple(tuple(r) for r in red[:rank])
             self.k = rank
             self._masks = None
@@ -209,18 +211,17 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
 
     Never approximates: when q^k exceeds the budget the enumeration is
-    refused with BudgetExceededError. GF(2) codes run the compiled Gray walk
-    when the extension is built, else the bit-sliced weight histogram; over
-    GF(q > 2) the minimum is read off weight_distribution's bit-sliced
-    histogram, which caches both.
+    refused with BudgetExceededError. A GF(2) code runs the compiled Gray
+    walk when the extension is built and its masks fit; otherwise the
+    minimum is read off weight_distribution's histogram, which caches both.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
     if code._d is None:
+        _check_budget(code, budget)
         if code.q == 2:
-            _check_budget(code, budget)
-            code._d = _backend.min_weight_gf2(code._masks, code.n)
-        else:
+            code._d = _backend.min_weight_gf2(code._masks)
+        if code._d is None:
             weight_distribution(code, budget)
     return code._d
 
@@ -231,7 +232,7 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
     Every one of the q^k codewords is enumerated, bit-sliced over every
     field, so the budget refuses the same codes as min_distance. The
     minimum distance read off the counts fills min_distance's cache, or is
-    cross-checked against it when a GF(2) min_distance call filled it first.
+    cross-checked against it when the compiled walk filled it first.
     """
     if code._wd is not None:
         return code._wd
@@ -243,10 +244,9 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
     wd = tuple(counts)
     if code.k >= 1:
         d = next(w for w in range(1, code.n + 1) if wd[w])
-        if code._d is None:
-            code._d = d
-        elif code._d != d:
-            raise AssertionError("weight distribution disagrees with min_distance")
+        if code._d not in (None, d):
+            raise AssertionError("weight distribution disagrees with the Gray walk")
+        code._d = d
     code._wd = wd
     return wd
 
@@ -280,21 +280,19 @@ def dual_code(code: LinearCode) -> LinearCode:
 
 
 def is_lcd(code: LinearCode) -> bool:
-    """True iff the code meets its dual only in 0: det(G G^T) != 0 mod q.
+    """True iff the code meets its dual only in 0: G G^T has rank k over GF(q).
 
-    Over GF(2) the Gram matrix G G^T is built on masks, entry (i, j) being
-    the parity of the number of coordinates where rows i and j both hold 1,
-    and its rank is found by XOR.
+    Over GF(2) the Gram matrix is built on masks, entry (i, j) being the
+    parity of the number of coordinates where rows i and j both hold 1, and
+    its rank is found by XOR; over GF(q > 2) it is rref_mod_q's.
     """
     if code.q == 2:
         g = code._masks
         gram = [sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g)) for a in g]
         return len(_rref_gf2(gram)) == code.k
-    g = [list(r) for r in code.standard_form]
-    if not g:
-        return True
-    gram = intlinalg.mat_mul(g, intlinalg.transpose(g))
-    return intlinalg.det_bareiss(gram) % code.q != 0
+    g = code.standard_form
+    gram = [[sum(map(operator.mul, a, b)) for b in g] for a in g]
+    return intlinalg.rref_mod_q(gram, code.q)[1] == code.k
 
 
 @dataclass(frozen=True, slots=True)

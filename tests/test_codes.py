@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
-from sigmatau import _pykernels, intlinalg
+from sigmatau import _backend, _pykernels, intlinalg
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
@@ -113,6 +113,10 @@ class TestOmegaReduce:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
             omega_reduce([[1]], 6)
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            omega_reduce([[1.5, 2.0, -1]], 2)
 
     def test_scaling_commutes_with_reduction(self):
         rng = random.Random(2)
@@ -293,26 +297,31 @@ class TestWeightDistribution:
         with pytest.raises(BudgetExceededError):
             weight_distribution(code, budget=5)
 
-    def test_one_enumeration_per_gfq_code(self, monkeypatch):
-        kernel = _pykernels.weight_counts_modq
+    @pytest.mark.parametrize("q, kernel", [(2, "weight_counts_gf2"), (3, "weight_counts_modq")])
+    def test_one_enumeration_per_gfq_code(self, monkeypatch, q, kernel):
+        # one histogram per code, whichever question comes first; only the
+        # compiled GF(2) walk answers min_distance without one
+        histogram = getattr(_pykernels, kernel)
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return kernel(*args)
+            return histogram(*args)
 
-        monkeypatch.setattr(_pykernels, "weight_counts_modq", counting)
+        monkeypatch.setattr(_pykernels, kernel, counting)
         rows = [[1, 0, 2, 1, 1, 0], [0, 1, 1, 2, 0, 1], [1, 1, 0, 0, 2, 2]]
-        g = [list(r) for r in LinearCode(3, 6, rows).standard_form]
+        g = [list(r) for r in LinearCode(q, 6, rows).standard_form]
+        assert len(g) == 3
+        walk = q == 2 and _backend.BACKEND == "compiled"
         for first, second in ((min_distance, weight_distribution), (weight_distribution, min_distance)):
             calls.clear()
-            code = LinearCode(3, 6, rows)
+            code = LinearCode(q, 6, rows)
             first(code)
-            assert len(calls) == 1
+            assert len(calls) == (0 if walk and first is min_distance else 1)
             second(code)
             assert len(calls) == 1
-            assert code._d == naive_min_distance(g, 3)
-            assert list(code._wd) == naive_weight_counts(g, 3, 6)
+            assert code._d == naive_min_distance(g, q)
+            assert list(code._wd) == naive_weight_counts(g, q, 6)
 
 
 class TestDual:
@@ -346,6 +355,7 @@ class TestLcd:
 
     def test_empty_code_is_lcd(self):
         assert is_lcd(LinearCode(2, 4, []))
+        assert is_lcd(LinearCode(3, 4, []))
 
     def test_gram_parity(self):
         # over GF(2) only the parity of each Gram entry counts
@@ -364,7 +374,8 @@ class TestLcd:
 
 class TestAgainstListAlgebra:
     """Each code's rref, dual and LCD flag against intlinalg's list routines,
-    which the GF(2) mask path and the pivot-read dual bypass."""
+    which the GF(2) mask path and the pivot-read dual bypass, and the
+    enumerations of small codes against the naive oracles."""
 
     @DIFFERENTIAL
     @given(generator_matrices())
@@ -381,7 +392,19 @@ class TestAgainstListAlgebra:
         dual = dual_code(code)
         assert dual.standard_form == tuple(tuple(r) for r in dual_red[:dual_rank])
         assert dual.k == dual_rank == n - rank
+        # Bareiss's determinant stays the reference for the Gram rank test
         assert is_lcd(code) == lcd
+        if q ** rank <= 1 << 12:
+            counts = naive_weight_counts(g, q, n)
+            d = naive_min_distance(g, q) if g else None
+            # both call orders: either question may fill the cache first
+            for distance_first in (True, False):
+                fresh = LinearCode(q, n, rows)
+                if distance_first and g:
+                    assert min_distance(fresh) == d
+                assert list(weight_distribution(fresh)) == counts
+                if g:
+                    assert min_distance(fresh) == d
 
 
 class TestReports:

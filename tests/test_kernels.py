@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sigmatau import _backend, _pykernels
+from sigmatau.codes import LinearCode, min_distance
 from sigmatau.derivations import biquadratic_basis, build_cyclotomic_derivation
 from sigmatau.rings import endomorphisms, make_biquadratic, make_cyclotomic
 
@@ -22,6 +23,17 @@ from .oracles import (
 compiled = pytest.mark.skipif(
     _backend.BACKEND != "compiled", reason="compiled extension not present"
 )
+
+
+def _walk(best):
+    """_backend.min_weight_gf2's answer for masks of at most 64 columns whose
+    walk minimum is best: best where the compiled walk is loaded, else None."""
+    return best if _backend.BACKEND == "compiled" else None
+
+
+def _histogram_min(counts):
+    """Least weight of a nonzero message: 0 when one gives the zero word."""
+    return next(w for w, c in enumerate(counts) if c > (w == 0))
 
 
 # sha256 of the _kernels.pyx that the committed _kernels.c was generated from
@@ -126,10 +138,12 @@ class TestOverflowFallback:
         masks = [rng.getrandbits(70) | 1 << 69 for _ in range(6)]
         with pytest.raises(OverflowError):
             _kernels.min_weight_gf2_u64(masks, 1, 63)
-        counts = _pykernels.weight_counts_gf2(masks, 70)
-        pure = next(w for w in range(1, 71) if counts[w])
-        assert _backend.min_weight_gf2(masks, 70) == pure
+        assert _backend.min_weight_gf2(masks) is None
+        pure = _histogram_min(_pykernels.weight_counts_gf2(masks, 70))
         assert pure == gray_min_weight_gf2(masks, 1, 63)
+        code = LinearCode(2, 70, _rows(masks, 70))
+        assert code.k == 6
+        assert min_distance(code) == pure
 
 
 def _direct_weight_counts(masks, n):
@@ -188,8 +202,8 @@ class TestBitSlicedWeights:
             counts = _pykernels.weight_counts_gf2(masks, n)
             assert sum(counts) == 1 << k
             best = gray_min_weight_gf2(masks, 1, (1 << k) - 1)
-            assert _backend.min_weight_gf2(masks, n) == best
-            assert next(w for w in range(n + 1) if counts[w] > (w == 0)) == best
+            assert _histogram_min(counts) == best
+            assert _backend.min_weight_gf2(masks) == _walk(best)
 
     def test_block_boundary_matches_direct_histogram(self):
         rng = random.Random(101)
@@ -203,13 +217,21 @@ class TestBitSlicedWeights:
         masks = [rng.getrandbits(70) for _ in range(16)]
         counts = _pykernels.weight_counts_gf2(masks, 70)
         assert sum(counts) == 1 << 16
-        assert _backend.min_weight_gf2(masks, 70) == gray_min_weight_gf2(masks, 1, (1 << 16) - 1)
+        best = gray_min_weight_gf2(masks, 1, (1 << 16) - 1)
+        assert _histogram_min(counts) == best
+        # 70 columns overflow the compiled walk, so min_distance reads the histogram
+        assert _backend.min_weight_gf2(masks) is None
+        code = LinearCode(2, 70, _rows(masks, 70))
+        assert code.k == 16
+        assert min_distance(code) == best
 
     def test_nonzero_message_giving_zero_word(self):
         # a dependent row: the walk and the histogram both report weight 0
         masks = [0b0110, 0b1100, 0b1010]
-        assert _pykernels.weight_counts_gf2(masks, 4)[0] == 2
-        assert _backend.min_weight_gf2(masks, 4) == 0 == gray_min_weight_gf2(masks, 1, 7)
+        counts = _pykernels.weight_counts_gf2(masks, 4)
+        assert counts[0] == 2
+        assert _histogram_min(counts) == 0 == gray_min_weight_gf2(masks, 1, 7)
+        assert _backend.min_weight_gf2(masks) == _walk(0)
 
     def test_memory_is_bounded_by_the_block(self):
         import tracemalloc
@@ -340,11 +362,12 @@ class TestBackendContract:
                 w = bin(word).count("1")
                 best = w if best is None or w < best else best
             assert gray_min_weight_gf2(masks, 1, (1 << k) - 1) == best
-            assert _backend.min_weight_gf2(masks, 10) == best
+            assert _histogram_min(_pykernels.weight_counts_gf2(masks, 10)) == best
+            assert _backend.min_weight_gf2(masks) == _walk(best)
 
     def test_gray_walk_empty_range(self):
         assert gray_min_weight_gf2([3], 1, 0) is None
-        assert _backend.min_weight_gf2([], 4) is None
+        assert _backend.min_weight_gf2([]) is None
 
     def test_gray_walk_partial_range(self):
         # a range that starts mid-walk must agree with slicing the full walk
