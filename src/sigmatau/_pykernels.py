@@ -6,8 +6,12 @@ _backend falls back to the twin. The one product through a structure table,
 _support, _expand and _apply, shared by algebra's mul and maps and by
 _law_failure, the one basis-pair law scan. And the bit-sliced weight
 histograms over GF(2) and GF(q), which differ in how they build each
-column's lane masks and share one lane counter, _tally_lanes. Helpers stay
-private, so a tracer wrapping the public ones sees no product in a kernel.
+column's lane masks and share one lane counter, _tally_lanes. Over GF(q) a
+column keeps q masks of q^low bits; when q^2 > 2^14 the last row never goes
+into the lanes, so a one-row code at large q walks its q words rather than
+build n q^2 bits of masks.
+Helpers stay private, so a tracer wrapping the public ones sees no product
+in a kernel.
 """
 
 from __future__ import annotations
@@ -182,14 +186,19 @@ def weight_counts_modq(rows, q: int, n: int) -> list[int]:
     q-ary Gray order, shifting whole columns by one row each step.
     """
     k = len(rows)
+    # Each column keeps q masks of q^low bits. Past q^2 > 2^14 those cost
+    # more than they save unless a high row reuses them, so the last row
+    # stays out of the lanes.
+    top = k if q * q <= 1 << _BLOCK_BITS else k - 1
     low = 0
-    while low < k and q ** (low + 1) <= 1 << _BLOCK_BITS:
+    while low < top and q ** (low + 1) <= 1 << _BLOCK_BITS:
         low += 1
     full = (1 << q ** low) - 1
     # Column c's one-hot masks hot[v] hold the lanes whose low part of
     # coordinate c is v. Low row r adds digit d times rows[r][c] to the
-    # lanes shifted by d q^r. Once built, nonzero[s] holds the lanes where
-    # the low part plus s is nonzero mod q.
+    # lanes shifted by d q^r, scattered from the nonzero masks only. Once
+    # built, nonzero[s] holds the lanes where the low part plus s is
+    # nonzero mod q.
     live = []
     const = []
     for c in range(n):
@@ -197,7 +206,12 @@ def weight_counts_modq(rows, q: int, n: int) -> list[int]:
         span = 1
         for r in range(low):
             g = rows[r][c] % q
-            hot = [sum(hot[(v - d * g) % q] << d * span for d in range(q)) for v in range(q)]
+            new = [0] * q
+            for v, mask in enumerate(hot):
+                if mask:
+                    for d in range(q):
+                        new[(v + d * g) % q] |= mask << d * span
+            hot = new
             span *= q
         if hot[0] == full:
             const.append(c)  # the low rows never touch column c

@@ -2,7 +2,8 @@
 
 Subcommands: ring, derive, check, inner, sweep, code, reproduce-paper.
 Exit status 0 on success, 1 on computation errors, 2 on usage errors.
-Output is deterministic for identical inputs.
+Output is deterministic for identical inputs, except the sweep's elapsed
+time: the `elapsed:` line of its table and the `seconds` field of its JSON.
 """
 
 from __future__ import annotations

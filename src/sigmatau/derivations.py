@@ -174,42 +174,16 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
     return InnernessVerdict(True, witness, None)
 
 
+# The paper's adjugate route is a test oracle now (tests/oracles.py). This
+# cache stays only because perfbench's tracer reads its cache_info(); ROADMAP
+# item 8 removes it, and intlinalg.adjugate, once item 1 drops that read.
 @lru_cache(maxsize=1024)
 def _adjugate_det_A(p: int, u: int, w: int):
-    from .conjecture import build_A  # only this route needs the sweep module
+    from .conjecture import build_A  # only this cache needs the sweep module
 
     a = build_A(p, u, w)
     adj = tuple(tuple(r) for r in intlinalg.adjugate(a))
     return adj, intlinalg.det_bareiss(a)
-
-
-def _cyclotomic_inner_adjugate(ring: CyclotomicRing, sigma, tau, D) -> InnernessVerdict:
-    """The paper's route, which no CLI command runs; a test oracle until
-    ROADMAP item 8 removes it:
-    inner iff det(A) divides every entry of adj(A) D(z), with A the
-    multiplication-by-(tau - sigma)(z) matrix. Builds n^2 cofactors, so
-    O(p^5). det(A) = +-p is a theorem (see cyclotomic_inner_conjectural), so
-    any other determinant is a fault here and raises AssertionError.
-    """
-    der = _as_derivation(ring.spec, sigma, tau, D)
-    u, w = _exponent(ring, der.sigma), _exponent(ring, der.tau)
-    adj, det = _adjugate_det_A(ring.p, w, u)
-    if abs(det) != ring.p:
-        raise AssertionError(
-            f"det of the innerness matrix for p={ring.p}, sigma exponent {u}, "
-            f"tau exponent {w} is {det}, expected +-{ring.p}"
-        )
-    c = der.images[1]
-    y = [sum(r * v for r, v in zip(row, c)) for row in adj]
-    for idx, v in enumerate(y):
-        if v % det:
-            return InnernessVerdict(
-                False, None,
-                f"{ring.p} does not divide entry {idx} of adj(A) D(z) = {v}",
-            )
-    witness = tuple(v // det for v in y)
-    _assert_witness(der, witness)
-    return InnernessVerdict(True, witness, None)
 
 
 # ----------------------------------------------------------------- quadratic

@@ -60,15 +60,6 @@ def mat_vec(a, x) -> list[int]:
     return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
-def mat_mul(a, b) -> IntMatrix:
-    ma, na = _dims(a)
-    mb, nb = _dims(b)
-    if na != mb:
-        raise ValueError("dimension mismatch")
-    bt = transpose(b) if mb else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def det_bareiss(a) -> int:
     """Exact determinant of a square integer matrix."""
     m, n = _dims(a)
@@ -78,7 +69,11 @@ def det_bareiss(a) -> int:
 
 
 def adjugate(a) -> IntMatrix:
-    """Adjugate matrix: A . adj(A) == det(A) . I, valid even when singular."""
+    """Adjugate matrix: A . adj(A) == det(A) . I, valid even when singular.
+
+    Only derivations._adjugate_det_A calls it, for a cache that perfbench's
+    tracer reads; ROADMAP item 8 removes both once item 1 drops that read.
+    """
     m, n = _dims(a)
     if m != n:
         raise ValueError("adjugate of a non-square matrix")

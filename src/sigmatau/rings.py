@@ -27,15 +27,26 @@ from .intlinalg import is_prime
 
 
 def _is_square_free(d: int) -> bool:
+    """True when d != 0 and no prime square divides d.
+
+    Trial division runs only up to the cube root of what is left, dividing
+    out each factor found. The cofactor then has no prime factor at or below
+    its cube root, so it has at most two, and it is square-free iff it is not
+    a perfect square. That is O(|d|^(1/3)), about 0.05 s at |d| = 10^17;
+    larger |d| needs the up-front refusal of ROADMAP item 12.
+    """
     d = abs(d)
     if d == 0:
         return False
     f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
+    while f * f * f <= d:
+        if d % f == 0:
+            d //= f
+            if d % f == 0:
+                return False
         f += 1
-    return True
+    r = math.isqrt(d)
+    return d == 1 or r * r != d
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,6 +47,45 @@ def solve_via_adjugate(a, c):
     return tuple(v // d for v in y)
 
 
+def mat_mul(a, b):
+    """Product of two integer matrices given as lists of rows."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("dimension mismatch")
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def cyclotomic_adjugate_witness(p, u, w, c):
+    """The paper's innerness route on Z[z], with sigma(z) = z^u, tau(z) = z^w
+    and c = D(z): beta = adj(A) c / det(A), or None when det(A) does not
+    divide every entry of adj(A) c.
+
+    A is the multiplication-by-(z^w - z^u) matrix, whose determinant is
+    +-p by theorem (Washington, Lemma 1.4); anything else is a fault. Builds
+    n^2 cofactors, so O(p^5).
+    """
+    from sigmatau import derivations
+
+    adj, det = derivations._adjugate_det_A(p, w, u)
+    assert abs(det) == p, f"det A({p}, {w}, {u}) = {det}, expected +-{p}"
+    y = [sum(r * v for r, v in zip(row, c)) for row in adj]
+    if any(v % det for v in y):
+        return None
+    return tuple(v // det for v in y)
+
+
+def is_square_free_trial(d):
+    """True when no square f^2 > 1 divides d, by trial division up to sqrt(|d|)."""
+    d = abs(d)
+    if d == 0:
+        return False
+    f = 2
+    while f * f <= d:
+        if d % (f * f) == 0:
+            return False
+        f += 1
+    return True
+
+
 def rank_fraction(rows):
     m = [[Fraction(v) for v in row] for row in rows]
     rank = 0
@@ -173,6 +212,16 @@ def derivation_law_holds(table, d_images, s_images, t_images, pairs):
         if lhs != tuple(a + b for a, b in zip(rhs_a, rhs_b)):
             return False
     return True
+
+
+def first_law_failure(table, d_images, s_images, t_images):
+    """First basis pair (i, j) in row-major order where the twisted Leibniz
+    law fails, each pair checked from scratch, else None."""
+    units = basis_elements(len(table))
+    for i, j in product(range(len(table)), repeat=2):
+        if not derivation_law_holds(table, d_images, s_images, t_images, [(units[i], units[j])]):
+            return (i, j)
+    return None
 
 
 def associativity_triple_loop(table):

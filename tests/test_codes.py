@@ -28,7 +28,7 @@ from sigmatau.derivations import build_cyclotomic_derivation
 from sigmatau.intlinalg import rref_mod_q
 from sigmatau.rings import endomorphism_by_name, make_cyclotomic, make_quadratic
 
-from .oracles import naive_min_distance, naive_weight_counts, odometer_weight_counts
+from .oracles import mat_mul, naive_min_distance, naive_weight_counts, odometer_weight_counts
 from .strategies import DIFFERENTIAL, generator_matrices
 
 
@@ -386,7 +386,7 @@ class TestAgainstListAlgebra:
         null = intlinalg.nullspace_mod_q(rows, q) if rows else intlinalg.identity(n)
         dual_red, dual_rank, _ = rref_mod_q(null, q) if null else ([], 0, [])
         g = [list(r) for r in form]
-        lcd = not g or intlinalg.det_bareiss(intlinalg.mat_mul(g, intlinalg.transpose(g))) % q != 0
+        lcd = not g or intlinalg.det_bareiss(mat_mul(g, intlinalg.transpose(g))) % q != 0
         code = LinearCode(q, n, rows)
         assert (code.standard_form, code.k) == (form, rank)
         dual = dual_code(code)

@@ -113,7 +113,7 @@ class TestSweep:
             sweep(3, 5, jobs=0)
 
     def test_violation_error_is_gone(self):
-        # det A = +-p is a theorem; the adjugate route asserts it instead
+        # det A = +-p is a theorem; oracles.cyclotomic_adjugate_witness asserts it
         with pytest.raises(AttributeError):
             sigmatau.ConjectureViolationError
 

@@ -42,28 +42,16 @@ from sigmatau.rings import (
 )
 
 from .golden.regen import RINGS as GOLDEN_RINGS
-from .oracles import basis_elements, derivation_law_holds, ring_multiply, stacked_inner_witness
+from .oracles import (
+    basis_elements,
+    cyclotomic_adjugate_witness,
+    derivation_law_holds,
+    ring_multiply,
+    stacked_inner_witness,
+)
+from .strategies import BIQUADRATIC_PAIRS, QUADRATIC_DS
 
 D_ZETA_P17 = (1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0)
-
-
-def _squarefree(v: int) -> bool:
-    if v in (0, 1):
-        return False
-    v = abs(v)
-    f = 2
-    while f * f <= v:
-        if v % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
-QUADRATIC_DS = [d for d in range(-50, 51) if _squarefree(d)]
-BIQUADRATIC_PAIRS = [
-    (2, 3), (2, 5), (3, 5), (2, 7), (5, 6),
-    (6, 10), (-1, 2), (-1, 3), (-2, 5), (3, 7),
-]
 
 
 def _random_coords(rng: random.Random, rank: int, bound: int = 9):
@@ -692,8 +680,8 @@ class TestConjecturalMatchesGeneric:
 
 class TestProvenCyclotomicTest:
     """The (1 - z) | D(z) test against the generic solver and the paper's
-    adjugate route, the generic solver against the stacked solve over Q,
-    and the work the test does not do."""
+    adjugate route (oracles.cyclotomic_adjugate_witness), the generic solver
+    against the stacked solve over Q, and the work the test does not do."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_every_ordered_pair_matches_both_oracles(self, p):
@@ -710,9 +698,9 @@ class TestProvenCyclotomicTest:
                                 (build_cyclotomic_derivation(ring, sigma, tau, free), None)):
                     proven = cyclotomic_inner_conjectural(ring, sigma, tau, d)
                     generic = _generic_checked_by_oracle(ring, sigma, tau, d)
-                    adjugate = derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
-                    assert proven.inner == generic.inner == adjugate.inner
-                    assert proven.witness == generic.witness == adjugate.witness
+                    adjugate = cyclotomic_adjugate_witness(p, int(sigma.name), int(tau.name), d.images[1])
+                    assert proven.inner == generic.inner == (adjugate is not None)
+                    assert proven.witness == generic.witness == adjugate
                     if beta is not None:
                         assert proven.witness == beta
 
@@ -796,7 +784,7 @@ class TestExponentRead:
         inner = inner_derivation(ring.spec, sigma, tau, beta)
         outer = build_cyclotomic_derivation(ring, sigma, tau, (1, 0, 0, 0, 0, 0))
         assert cyclotomic_inner_conjectural(ring, sigma, tau, inner).witness == beta
-        assert derivations._cyclotomic_inner_adjugate(ring, sigma, tau, inner).witness == beta
+        assert cyclotomic_adjugate_witness(7, 3, 6, inner.images[1]) == beta
         assert not cyclotomic_inner_conjectural(ring, sigma, tau, outer).inner
         data = derivation_to_json(ring, sigma, tau, outer)
         assert (data["sigma"], data["tau"]) == ("3", "6")
@@ -1008,25 +996,6 @@ class TestValidateOnce:
         d = build_cyclotomic_derivation(ring, _endo(ring, 1), _endo(ring, 2), (0, 1, 0, 0))
         with pytest.raises(ValueError, match="not a derivation"):
             is_inner_generic(ring, _endo(ring, 1), _endo(ring, 3), d)
-
-    def test_conjectural_witness_is_verified(self, monkeypatch):
-        # an adjugate whose products all divide but whose quotient is not beta
-        ring = make_cyclotomic(5)
-        sigma, tau = _endo(ring, 1), _endo(ring, 2)
-        d = inner_derivation(ring.spec, sigma, tau, (1, 0, 0, 0))
-        scaled_identity = tuple(tuple(5 if i == j else 0 for j in range(4)) for i in range(4))
-        monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: (scaled_identity, 5))
-        with pytest.raises(AssertionError, match="witness"):
-            derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
-
-    def test_determinant_other_than_p_is_a_fault(self, monkeypatch):
-        # det A = +-p is a theorem, so the adjugate route asserts it
-        ring = make_cyclotomic(5)
-        sigma, tau = _endo(ring, 1), _endo(ring, 2)
-        d = build_cyclotomic_derivation(ring, sigma, tau, (0, 1, 0, 0))
-        monkeypatch.setattr(derivations, "_adjugate_det_A", lambda p, u, w: ((), 2 * p))
-        with pytest.raises(AssertionError, match=r"p=5, sigma exponent 1, tau exponent 2 is 10, expected \+-5"):
-            derivations._cyclotomic_inner_adjugate(ring, sigma, tau, d)
 
     def test_quotient_witness_is_verified(self, monkeypatch):
         ring = make_cyclotomic(5)

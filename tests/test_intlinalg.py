@@ -8,7 +8,6 @@ from sigmatau.intlinalg import (
     hermite_normal_form,
     identity,
     is_prime,
-    mat_mul,
     mat_vec,
     nullspace_mod_q,
     rank_int,
@@ -17,7 +16,7 @@ from sigmatau.intlinalg import (
     transpose,
 )
 
-from .oracles import det_cofactor, rank_fraction, solve_via_adjugate
+from .oracles import det_cofactor, mat_mul, rank_fraction, solve_via_adjugate
 
 PAPER_A = [[0, 0, 1, -2], [1, 0, 1, -1], [-1, 1, 1, -1], [0, -1, 2, -1]]
 

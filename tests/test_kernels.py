@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -455,3 +456,22 @@ class TestModqBitSliced:
         rng = random.Random(q * 100 + k)
         rows = _planted_modq_rows(rng, q, k, n)
         assert _pykernels.weight_counts_modq(rows, q, n) == odometer_weight_counts(rows, q, n)
+
+    # past q = 128, q^2 > 2^14 and the last row stays out of the lanes
+    @pytest.mark.parametrize("q, k", [(131, 1), (131, 2), (1009, 1)])
+    def test_large_q_matches_naive(self, q, k):
+        rng = random.Random(q * 10 + k)
+        rows = _planted_modq_rows(rng, q, k, 9)
+        want = naive_weight_counts(rows, q, 9)
+        reach = q ** k // sum(want)
+        assert _pykernels.weight_counts_modq(rows, q, 9) == [c * reach for c in want]
+
+    def test_one_row_at_q4093_is_fast(self):
+        # packing its one row into q lanes would build n q^2 bits of masks,
+        # tens of seconds pure
+        rng = random.Random(4093)
+        rows = [[rng.randrange(4093) for _ in range(16)]]
+        start = time.perf_counter()
+        counts = _pykernels.weight_counts_modq(rows, 4093, 16)
+        assert time.perf_counter() - start < 5.0
+        assert counts == naive_weight_counts(rows, 4093, 16)

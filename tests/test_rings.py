@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from sigmatau import algebra
+from sigmatau import algebra, rings
 from sigmatau.algebra import apply_map, associativity_failure, mul
 from sigmatau.rings import (
     BiquadraticRing,
@@ -15,6 +18,8 @@ from sigmatau.rings import (
     ring_to_json,
     zeta_power,
 )
+
+from .oracles import is_square_free_trial
 
 
 def _zeta_power(p, e):
@@ -137,6 +142,35 @@ class TestQuadratic:
     def test_invalid_d_rejected(self, d):
         with pytest.raises(ValueError):
             make_quadratic(d)
+
+
+class TestSquareFree:
+    """Trial division to the cube root, then a perfect-square test on the
+    cofactor, against trial division by every f with f^2 <= |d|."""
+
+    def test_matches_trial_division_to_5000(self):
+        for d in range(-5000, 5001):
+            assert rings._is_square_free(d) == is_square_free_trial(d), d
+
+    def test_matches_trial_division_on_random_d(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            d = rng.randrange(1, 10**8)
+            assert rings._is_square_free(d) == is_square_free_trial(d), d
+
+    # primes above the cube root leave a cofactor p^2 or p q
+    @pytest.mark.parametrize("p, q", [(1009, 7), (1009, 1013), (7, 1000003), (99991, 2), (2, 3)])
+    def test_constructed_products(self, p, q):
+        assert not rings._is_square_free(p * p * q)
+        assert not rings._is_square_free(-p * p)
+        assert rings._is_square_free(p * q) and rings._is_square_free(-p * q)
+
+    def test_large_d_is_fast(self):
+        # trial division to sqrt(d) was still running after 20 s
+        start = time.perf_counter()
+        ring = make_quadratic(100000000000000003)
+        assert time.perf_counter() - start < 1.0
+        assert ring.spec.labels == ("1", "sqrt(100000000000000003)")
 
 
 class TestBiquadratic:
