@@ -4,18 +4,20 @@ Pipeline: a derivation D of a rank-n ring gives the n x n integer matrix B
 whose row i holds the coordinates of D applied to the i-th basis element;
 a subset T of rows that is Z-linearly independent is reduced entrywise mod a
 prime q and spans the code. Each code is eliminated once, when it is built,
-to its unique rref (standard_form), whose rank is the dimension. The dual's
-generators are read off the pivots of that form, one per free column, and
-only the dual's own construction eliminates again. A code is LCD iff its
+to its unique rref (standard_form), whose rank is the dimension. The dual
+has one generator per free column of that form, and only the dual's own
+construction eliminates again. A code is LCD iff its
 Gram matrix G G^T has full rank k over GF(q), on every field (Massey, 1992).
 Minimum distance comes from exhaustive codeword enumeration.
 
 Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
 the generator rows onward: rref is one XOR pass over the masks, the dual's
-generators are masks, the Gram entries are parities of popcounts of ANDed
-rows and its rank is found by XOR, and the enumeration kernels take the
-masks as they are. Over GF(q > 2) rows stay lists, and both the code's rref
-and the Gram rank are intlinalg.rref_mod_q's.
+generators are masks read off the pivots, the Gram entries are parities of
+popcounts of ANDed rows and its rank is found by XOR, and the enumeration
+kernels take the masks as they are. Over GF(q > 2) rows stay lists: the
+code's rref and the Gram rank are intlinalg.rref_mod_q's, and the dual's
+words are intlinalg.nullspace_mod_q's on the standard form, whose rref pass
+finds that form already reduced.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
 q^k exceeds the codeword budget. The pure backend builds one weight
@@ -254,9 +256,11 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
 def dual_code(code: LinearCode) -> LinearCode:
     """Orthogonal complement; dimensions always satisfy k + dual k == n.
 
-    The null basis is read off the pivots of the standard form: each free
-    column f gives the word with 1 at f and -R[r][f] at the pivot of each
-    row r. Only the dual's own reduction eliminates.
+    Over GF(2) the null basis is read off the pivots of the masks: each free
+    column f gives the word with 1 at f and at the pivot of each row holding
+    f. Over GF(q > 2) it is nullspace_mod_q of the standard form, whose rref
+    pass finds that form already reduced; the zero code stands in as one
+    zero row, so its dual is all of GF(q)^n.
     """
     q, n = code.q, code.n
     if q == 2:
@@ -266,17 +270,7 @@ def dual_code(code: LinearCode) -> LinearCode:
         dual = LinearCode(2, n, ())
         dual._reduce_gf2([f | sum(m & -m for m in masks if m & f) for f in free])
         return dual
-    form = code.standard_form
-    pivots = [next(c for c, v in enumerate(row) if v) for row in form]
-    null = []
-    for f in range(n):
-        if f not in pivots:
-            v = [0] * n
-            v[f] = 1
-            for col, row in zip(pivots, form):
-                v[col] = -row[f] % q
-            null.append(v)
-    return LinearCode(q, n, null)
+    return LinearCode(q, n, intlinalg.nullspace_mod_q(code.standard_form or [[0] * n], q))
 
 
 def is_lcd(code: LinearCode) -> bool:

@@ -1,28 +1,55 @@
 """Exact linear algebra over the integers and over prime fields.
 
 Matrices are lists of rows of ints. Nothing here is numeric-approximate: the
-determinant is Bareiss fraction-free elimination, integer systems are solved
-through a row Hermite normal form, and mod-q routines require q prime so that
-every nonzero residue is invertible.
+determinant is Bareiss fraction-free elimination, and the row Hermite normal
+form is the only other integer row reduction: the rank and every integer
+solve are read off it. Mod-q routines require q prime so that every nonzero
+residue is invertible.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import _backend
 
 IntMatrix = list  # list of rows of ints
 
 
+# Sorenson and Webster, Math. Comp. 86 (2017), 985-1003
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(q: int) -> bool:
+    """Exact primality test.
+
+    Trial division by the primes up to 41 settles q below 41^2. Larger q
+    runs Miller-Rabin strong-probable-prime tests on the same primes as
+    bases, proven exact below 3,317,044,064,679,887,385,961,981; a q at or
+    above that bound that passes them all is confirmed by trial division.
+    """
     if q < 2:
         return False
-    if q < 4:
+    for b in _MR_BASES:
+        if b * b > q:
+            return True
+        if q % b == 0:
+            return False
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    if q < _MR_EXACT_BELOW:
         return True
-    if q % 2 == 0:
-        return False
-    f = 3
+    f = 43
     while f * f <= q:
         if q % f == 0:
             return False
@@ -94,35 +121,8 @@ def adjugate(a) -> IntMatrix:
 
 
 def rank_int(rows) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    _dims(rows)
-    a = [list(r) for r in rows if any(r)]
-    if not a:
-        return 0
-    n = len(a[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i, r in enumerate(a) if r[col] != 0), None)
-        if piv is None:
-            continue
-        prow = a.pop(piv)
-        pv = prow[col]
-        rank += 1
-        nxt = []
-        for r in a:
-            if r[col]:
-                r = [pv * x - r[col] * y for x, y in zip(r, prow)]
-                g = 0
-                for x in r:
-                    g = math.gcd(g, x)
-                if g > 1:
-                    r = [x // g for x in r]
-            if any(r):
-                nxt.append(r)
-        a = nxt
-        if not a:
-            break
-    return rank
+    """Rank over the rationals: the number of nonzero rows of the row HNF."""
+    return sum(map(any, hermite_normal_form(rows)[0]))
 
 
 def hermite_normal_form(rows) -> tuple[IntMatrix, IntMatrix]:

@@ -86,6 +86,22 @@ def is_square_free_trial(d):
     return True
 
 
+def is_prime_trial(q):
+    """Primality by trial division up to the square root of q."""
+    if q < 2:
+        return False
+    if q < 4:
+        return True
+    if q % 2 == 0:
+        return False
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def rank_fraction(rows):
     m = [[Fraction(v) for v in row] for row in rows]
     rank = 0

@@ -14,6 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from sigmatau.algebra import Derivation, LinearMap
+from sigmatau.codes import idd_matrix
 from sigmatau.derivations import (
     build_biquadratic_derivation,
     build_cyclotomic_derivation,
@@ -49,20 +50,26 @@ _cyclotomic, _quadratic, _biquadratic = (
 _endomorphisms = lru_cache(maxsize=None)(endomorphisms)
 
 
+def cyclotomic_rings():
+    """Z[z_p] for p <= 13."""
+    return st.sampled_from(CYCLOTOMIC_PRIMES).map(_cyclotomic)
+
+
 def rings():
     """Z[z_p] for p <= 13, a square-free quadratic d in [-50, 50], or one of
     the ten biquadratic rings."""
     return st.one_of(
-        st.sampled_from(CYCLOTOMIC_PRIMES).map(_cyclotomic),
+        cyclotomic_rings(),
         st.sampled_from(QUADRATIC_DS).map(_quadratic),
         st.sampled_from(BIQUADRATIC_PAIRS).map(lambda mn: _biquadratic(*mn)),
     )
 
 
 @st.composite
-def endomorphism_pairs(draw):
-    """(ring, sigma, tau): two distinct endomorphisms of a drawn ring."""
-    ring = draw(rings())
+def endomorphism_pairs(draw, ring_strategy=None):
+    """(ring, sigma, tau): two distinct endomorphisms of a ring drawn from
+    ring_strategy, rings() by default."""
+    ring = draw(rings() if ring_strategy is None else ring_strategy)
     endos = _endomorphisms(ring)
     i = draw(st.integers(0, len(endos) - 1))
     j = draw(st.integers(0, len(endos) - 2))
@@ -130,3 +137,20 @@ def generator_matrices(draw, primes=(2, 3, 5), max_n: int = 12):
         else:
             rows.append(draw(row))
     return q, n, rows
+
+
+@st.composite
+def code_subsets(draw):
+    """(B, T, q): the IDD matrix B of a builder derivation of Z[z_p], p <= 13,
+    a nonempty set T of its 1-based row indices, and q in {2, 3, 5}.
+
+    Row 1 holds D(1) = 0. It joins about one T in five, which makes T
+    Z-linearly dependent; other rows may be dependent too, and an
+    independent T may still lose rank mod q.
+    """
+    ring, sigma, tau = draw(endomorphism_pairs(cyclotomic_rings()))
+    b = idd_matrix(ring, build_cyclotomic_derivation(ring, sigma, tau, draw(_coords(ring.spec.rank))))
+    subset = draw(st.lists(st.integers(2, b.n), min_size=1, max_size=b.n - 1, unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        subset.insert(draw(st.integers(0, len(subset))), 1)
+    return b, subset, draw(st.sampled_from((2, 3, 5)))

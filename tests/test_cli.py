@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,17 @@ class TestCode:
             status, out, err = _run(capsys, *self.ARGS, "--budget", budget)
             assert (status, out) == (1, "")
             assert err == "error: budget must be positive\n"
+
+    def test_large_prime_modulus_refused_fast(self, capsys):
+        # q = 2^61 - 1 is prime, and q^2 is far over the default budget
+        start = time.perf_counter()
+        status, out, err = _run(
+            capsys, "code", "--ring", "cyclotomic:7", "--sigma", "1", "--tau", "3",
+            "--dzeta", "1,0,1,0,0,1", "--subset", "2,3", "--q", str(2**61 - 1),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and "exceeds the budget" in err
 
     def test_dependent_subset(self, capsys):
         status, _, err = _run(capsys, *self.ARGS[:-1], "1,1")

@@ -374,8 +374,9 @@ class TestLcd:
 
 class TestAgainstListAlgebra:
     """Each code's rref, dual and LCD flag against intlinalg's list routines,
-    which the GF(2) mask path and the pivot-read dual bypass, and the
-    enumerations of small codes against the naive oracles."""
+    which the GF(2) mask path bypasses, every dual against orthogonality and
+    k + k⊥ = n, which hold without either, and the enumerations of small
+    codes against the naive oracles."""
 
     @DIFFERENTIAL
     @given(generator_matrices())
@@ -392,6 +393,10 @@ class TestAgainstListAlgebra:
         dual = dual_code(code)
         assert dual.standard_form == tuple(tuple(r) for r in dual_red[:dual_rank])
         assert dual.k == dual_rank == n - rank
+        # over GF(q > 2) nullspace_mod_q builds the dual, so it is no reference there
+        if rows and dual.k:
+            gram = mat_mul(rows, intlinalg.transpose(dual.standard_form))
+            assert all(v % q == 0 for row in gram for v in row)
         # Bareiss's determinant stays the reference for the Gram rank test
         assert is_lcd(code) == lcd
         if q ** rank <= 1 << 12:

@@ -16,7 +16,7 @@ from sigmatau.intlinalg import (
     transpose,
 )
 
-from .oracles import det_cofactor, mat_mul, rank_fraction, solve_via_adjugate
+from .oracles import det_cofactor, is_prime_trial, mat_mul, rank_fraction, solve_via_adjugate
 
 PAPER_A = [[0, 0, 1, -2], [1, 0, 1, -1], [-1, 1, 1, -1], [0, -1, 2, -1]]
 
@@ -161,8 +161,16 @@ class TestHermite:
 class TestRank:
     def test_against_fraction_oracle(self):
         rng = random.Random(15)
-        for _ in range(200):
-            a = rand_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6), 5)
+        cases = [rand_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6), 5) for _ in range(200)]
+        # up to 12 x 30, with a zero row, a repeated row and a sum of two rows
+        for _ in range(40):
+            a = rand_matrix(rng, rng.randrange(1, 10), rng.randrange(1, 31), 5)
+            x, y = rng.choice(a), rng.choice(a)
+            a += [[0] * len(x), list(x), [u + v for u, v in zip(x, y)]]
+            rng.shuffle(a)
+            cases.append(a)
+        cases += [[[]], [[], [], []], [[0, 0, 0]] * 4]
+        for a in cases:
             assert rank_int(a) == rank_fraction(a)
 
     def test_empty(self):
@@ -206,6 +214,22 @@ class TestModQ:
     def test_is_prime(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+    def test_is_prime_agrees_with_trial_division(self):
+        for q in range(-10, 200_000):
+            assert is_prime(q) == is_prime_trial(q), q
+        for q in (10**12 + 39, 10**12 + 37, 999_999_999_989 * 7):
+            assert is_prime(q) == is_prime_trial(q), q
+
+    def test_is_prime_large_moduli(self):
+        # strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+        for q in (
+            2047, 1373653, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051, 318665857834031151167461,
+        ):
+            assert not is_prime(q), q
+        assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+        assert not is_prime(2**61 + 1) and not is_prime((2**31 - 1) * (2**61 - 1))
 
 
 class TestHnfSolveCrossCheck:

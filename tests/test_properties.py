@@ -1,5 +1,6 @@
-"""Differential properties over drawn rings, endomorphism pairs and
-derivations (tests/strategies.py), each against the naive oracles."""
+"""Differential properties over drawn rings, endomorphism pairs,
+derivations and code subsets (tests/strategies.py), each against the naive
+oracles."""
 
 import json
 import re
@@ -7,7 +8,8 @@ import re
 import pytest
 from hypothesis import given
 
-from sigmatau.algebra import derivation_failure, sub
+from sigmatau.algebra import derivation_failure, spec_from_json, spec_to_json, sub
+from sigmatau.codes import BudgetExceededError, CodeReport, code_report, dual_code, hom_idd_code, is_lcd
 from sigmatau.derivations import (
     biquadratic_inner,
     cyclotomic_inner_conjectural,
@@ -16,10 +18,23 @@ from sigmatau.derivations import (
     is_inner_generic,
     quadratic_inner,
 )
+from sigmatau.intlinalg import det_bareiss, transpose
 from sigmatau.rings import BiquadraticRing, CyclotomicRing, QuadraticRing
 
-from .oracles import basis_elements, derivation_law_holds, first_law_failure, ring_multiply
-from .strategies import DIFFERENTIAL, derivations, planted_faults
+from .oracles import (
+    basis_elements,
+    derivation_law_holds,
+    first_law_failure,
+    mat_mul,
+    naive_min_distance,
+    naive_weight_counts,
+    rank_fraction,
+    ring_multiply,
+)
+from .strategies import DIFFERENTIAL, code_subsets, derivations, planted_faults, rings
+
+# enumerations the oracles repeat in pure Python stay at or under 2^12 words
+ENUMERATED = 1 << 12
 
 CLOSED_FORM = {
     CyclotomicRing: cyclotomic_inner_conjectural,
@@ -76,3 +91,46 @@ def test_derivation_json_round_trips(drawn):
     assert ring2 == ring
     assert (sigma2.name, tau2.name) == (sigma.name, tau.name)
     assert (sigma2.images, tau2.images, d2.images) == (sigma.images, tau.images, d.images)
+
+
+@DIFFERENTIAL
+@given(rings())
+def test_spec_json_round_trips(ring):
+    spec = spec_from_json(json.loads(json.dumps(spec_to_json(ring.spec))))
+    assert spec == ring.spec
+    assert hash(spec) == hash(ring.spec)
+
+
+@DIFFERENTIAL
+@given(code_subsets())
+@pytest.mark.filterwarnings("ignore:mod-.* rank .* is below the subset size")
+def test_code_report_agrees_with_the_oracles(drawn):
+    b, subset, q = drawn
+    rows = [list(b.B[t - 1]) for t in subset]
+    n = b.n
+    if rank_fraction(rows) < len(rows):
+        with pytest.raises(ValueError, match="not Z-linearly independent"):
+            code_report(b, subset, q)
+        return
+    code = hom_idd_code(b, subset, q)
+    dual = dual_code(code)
+    assert code.k + dual.k == n
+    if dual.k:
+        gram = mat_mul(rows, transpose(dual.standard_form))
+        assert all(v % q == 0 for row in gram for v in row)
+    if q ** len(rows) <= ENUMERATED:
+        # the distinct words the subset's rows span number q^k
+        assert sum(naive_weight_counts(rows, q, n)) == q**code.k
+    g = [list(r) for r in code.standard_form]
+    lcd = not g or det_bareiss(mat_mul(g, transpose(g))) % q != 0
+    assert is_lcd(code) == lcd
+    if max(q**code.k, q**dual.k) > ENUMERATED:
+        with pytest.raises(BudgetExceededError):
+            code_report(b, subset, q, budget=ENUMERATED)
+        return
+    h = [list(r) for r in dual.standard_form]
+    assert code_report(b, subset, q, budget=ENUMERATED) == CodeReport(
+        label="", subset=tuple(subset), n=n, k=code.k,
+        d=naive_min_distance(g, q) if g else None, lcd=lcd,
+        dual_n=n, dual_k=dual.k, dual_d=naive_min_distance(h, q) if h else None,
+    )
