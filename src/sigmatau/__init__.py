@@ -44,7 +44,7 @@ _EXPORTS = {
         "is_inner_generic", "quadratic_inner",
     ),
     "intlinalg": (
-        "adjugate", "det_bareiss", "hermite_normal_form", "is_prime",
+        "det_bareiss", "hermite_normal_form", "is_prime",
         "nullspace_mod_q", "rank_int", "rref_mod_q", "solve_integer",
     ),
     "rings": (

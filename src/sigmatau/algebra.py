@@ -195,8 +195,8 @@ class Derivation(LinearMap):
 
     __slots__ = ("sigma", "tau")
 
-    def __init__(self, spec: AlgebraSpec, images, sigma, tau, name: str | None = None):
-        super().__init__(spec, images, name)
+    def __init__(self, spec: AlgebraSpec, images, sigma, tau):
+        super().__init__(spec, images)
         self.sigma, self.tau = _twist_pair(spec, sigma, tau)
         bad = _backend.derivation_failure(spec.table, self.images, self.sigma.images, self.tau.images)
         if bad is not None:

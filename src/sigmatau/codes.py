@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import _backend, _pykernels, intlinalg
-from .algebra import Coords, LinearMap, _images_of
+from .algebra import Coords, _images_of
 from .derivations import build_cyclotomic_derivation
 from .rings import endomorphism_by_name, make_cyclotomic
 
@@ -57,8 +57,6 @@ class BudgetExceededError(RuntimeError, ValueError):
 class IddMatrix:
     """Rows of ring-basis coordinates of D(basis element), one per element."""
 
-    ring: object
-    derivation: LinearMap
     B: tuple[Coords, ...]
 
     @property
@@ -67,9 +65,7 @@ class IddMatrix:
 
 
 def idd_matrix(ring, D) -> IddMatrix:
-    imgs = _images_of(D, ring.spec)
-    d = D if isinstance(D, LinearMap) else LinearMap(ring.spec, imgs)
-    return IddMatrix(ring, d, imgs)
+    return IddMatrix(_images_of(D, ring.spec))
 
 
 def _subset(B: IddMatrix, T) -> tuple[int, ...]:
@@ -104,9 +100,9 @@ class LinearCode:
     coordinate c), which the dual, the LCD test and the enumerations read.
     """
 
-    __slots__ = ("q", "n", "standard_form", "k", "selected", "_masks", "_d", "_wd")
+    __slots__ = ("q", "n", "standard_form", "k", "_masks", "_d", "_wd")
 
-    def __init__(self, q: int, n: int, generator, selected: int | None = None):
+    def __init__(self, q: int, n: int, generator):
         intlinalg._require_prime(q)
         # a float or other non-integer entry raises TypeError
         rows = [list(map(operator.index, row)) for row in generator]
@@ -115,7 +111,6 @@ class LinearCode:
                 raise ValueError("generator rows must have the code length")
         self.q = q
         self.n = n
-        self.selected = selected
         self._d: int | None = None
         self._wd: tuple[int, ...] | None = None
         if q == 2:
@@ -190,7 +185,7 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
     only when the mod-q rank falls short.
     """
     idx = _subset(B, T)
-    code = LinearCode(q, B.n, [B.B[t - 1] for t in idx], selected=len(idx))
+    code = LinearCode(q, B.n, [B.B[t - 1] for t in idx])
     if code.k < len(idx):
         if not independent_subset_check(B, idx):
             raise ValueError("selected rows are not Z-linearly independent")

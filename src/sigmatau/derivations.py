@@ -17,7 +17,6 @@ from .algebra import (
     AlgebraSpec,
     Coords,
     Derivation,
-    Endomorphism,
     LinearMap,
     _images_of,
     _twist_pair,
@@ -50,9 +49,6 @@ class InnernessVerdict:
 class DerivationSpace:
     """A module of derivations spanned by basis_maps, for one (sigma, tau)."""
 
-    ring: object
-    sigma: Endomorphism
-    tau: Endomorphism
     basis_maps: tuple[Derivation, ...]
     rank: int
 
@@ -88,10 +84,9 @@ def _generators(spec: AlgebraSpec) -> range:
     return range(1, 2) if spec.power_basis else range(spec.rank)
 
 
-def _make_space(ring, maps: list[Derivation]) -> DerivationSpace:
-    rows = [[v for g in _generators(ring.spec) for v in mp.images[g]] for mp in maps]
-    rank = intlinalg.rank_int(rows)
-    return DerivationSpace(ring, maps[0].sigma, maps[0].tau, tuple(maps), rank)
+def _make_space(spec: AlgebraSpec, maps: list[Derivation]) -> DerivationSpace:
+    rows = [[v for g in _generators(spec) for v in mp.images[g]] for mp in maps]
+    return DerivationSpace(tuple(maps), intlinalg.rank_int(rows))
 
 
 # ---------------------------------------------------------------- cyclotomic
@@ -129,7 +124,7 @@ def cyclotomic_basis(ring: CyclotomicRing, sigma, tau) -> DerivationSpace:
     and scanned, and each D_i is z^i times it.
     """
     d0 = build_cyclotomic_derivation(ring, sigma, tau, ring.spec.basis(0))
-    return _make_space(ring, [d0] + [d0._scaled(ring.spec.basis(i)) for i in range(1, ring.p - 1)])
+    return _make_space(ring.spec, [d0] + [d0._scaled(ring.spec.basis(i)) for i in range(1, ring.p - 1)])
 
 
 def _cyclotomic_quotient(p: int, u: int, w: int, c: Coords) -> Coords:
@@ -176,13 +171,21 @@ def cyclotomic_inner_conjectural(ring: CyclotomicRing, sigma, tau, D) -> Innerne
 
 # The paper's adjugate route is a test oracle now (tests/oracles.py). This
 # cache stays only because perfbench's tracer reads its cache_info(); ROADMAP
-# item 8 removes it, and intlinalg.adjugate, once item 1 drops that read.
+# item 8 removes it once item 1 drops that read.
 @lru_cache(maxsize=1024)
 def _adjugate_det_A(p: int, u: int, w: int):
     from .conjecture import build_A  # only this cache needs the sweep module
 
     a = build_A(p, u, w)
-    adj = tuple(tuple(r) for r in intlinalg.adjugate(a))
+    n = len(a)
+    # adj(A)[i][j] is the signed minor of A without row j and column i
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j) * intlinalg.det_bareiss([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
     return adj, intlinalg.det_bareiss(a)
 
 
@@ -293,7 +296,7 @@ def biquadratic_basis(ring: BiquadraticRing, sigma, tau) -> DerivationSpace:
     taken as the free image in cases I and II and as the coefficients of the
     i-th case-III basis map in case III."""
     sigma, tau = _twist_pair(ring.spec, sigma, tau)
-    return _make_space(ring, [
+    return _make_space(ring.spec, [
         build_biquadratic_derivation(ring, sigma, tau, ring.spec.basis(i)) for i in range(4)
     ])
 

@@ -4,7 +4,7 @@ Matrices are lists of rows of ints. Nothing here is numeric-approximate: the
 determinant is Bareiss fraction-free elimination, and the row Hermite normal
 form is the only other integer row reduction: the rank and every integer
 solve are read off it. Mod-q routines require q prime so that every nonzero
-residue is invertible.
+residue is invertible; is_prime proves it, or refuses a q too large to prove.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ def is_prime(q: int) -> bool:
 
     Trial division by the primes up to 41 settles q below 41^2. Larger q
     runs Miller-Rabin strong-probable-prime tests on the same primes as
-    bases, proven exact below 3,317,044,064,679,887,385,961,981; a q at or
-    above that bound that passes them all is confirmed by trial division.
+    bases, proven exact below 3,317,044,064,679,887,385,961,981. A q at or
+    above that bound that passes them all cannot be proven prime here and
+    raises ValueError; a composite one is still rejected.
     """
     if q < 2:
         return False
@@ -47,13 +48,8 @@ def is_prime(q: int) -> bool:
                 break
         else:
             return False
-    if q < _MR_EXACT_BELOW:
-        return True
-    f = 43
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
+    if q >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot prove {q} prime: the test is exact only below {_MR_EXACT_BELOW}")
     return True
 
 
@@ -93,31 +89,6 @@ def det_bareiss(a) -> int:
     if m != n:
         raise ValueError("determinant of a non-square matrix")
     return _backend.det_int(a)
-
-
-def adjugate(a) -> IntMatrix:
-    """Adjugate matrix: A . adj(A) == det(A) . I, valid even when singular.
-
-    Only derivations._adjugate_det_A calls it, for a cache that perfbench's
-    tracer reads; ROADMAP item 8 removes both once item 1 drops that read.
-    """
-    m, n = _dims(a)
-    if m != n:
-        raise ValueError("adjugate of a non-square matrix")
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = det_bareiss(minor)
-            out[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return out
 
 
 def rank_int(rows) -> int:

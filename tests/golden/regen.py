@@ -189,6 +189,9 @@ def _errors_and_checks():
     yield (*s8, "2,3,7,8", "--budget", "3"), ""
     yield (*s8, "1,1"), ""
     yield (*s8, "2,3,7,8", "--budget", "-1"), ""
+    # a prime modulus, 2^89 - 1, above the bound where is_prime is proven exact
+    yield ("code", "--ring", "cyclotomic:7", "--sigma", "1", "--tau", "3", "--dzeta", "1,0,1,0,0,1",
+           "--subset", "2,3", "--q", str(2**89 - 1)), ""
     # conflicting inputs are refused, not silently resolved
     yield ("inner", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2",
            "--dzeta", "1,0,0,0", "--images", "0,0,0,0"), ""

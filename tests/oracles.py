@@ -250,6 +250,37 @@ def associativity_triple_loop(table):
     return None
 
 
+def derivation_lattice(spec, sigma, tau):
+    """Z-basis of every (sigma, tau)-derivation of spec, one row per basis
+    derivation, each row the n^2 coordinates of D(e_0), ..., D(e_{n-1}).
+
+    The unknowns are the coordinates d[a][s] of D(e_a). The law at (e_i, e_j)
+    reads, on coordinate r,
+
+        sum_a table[i][j][a] d[a][r] = (D(e_i) tau(e_j))_r + (sigma(e_i) D(e_j))_r,
+
+    linear in the unknowns, with every product multiplied out here. The
+    solutions are the integer kernel of that n^3 x n^2 system: the rows of
+    the HNF transform U whose rows of U M^T = H are zero.
+    """
+    from sigmatau.intlinalg import hermite_normal_form
+
+    table, n = spec.table, spec.rank
+    units = basis_elements(n)
+    d_tau = [[ring_multiply(table, units[s], t) for t in tau.images] for s in range(n)]
+    sigma_d = [[ring_multiply(table, g, units[s]) for s in range(n)] for g in sigma.images]
+    mt = []  # one row per unknown d[a][s], one column per equation (i, j, r)
+    for a, s in product(range(n), repeat=2):
+        mt.append([
+            (table[i][j][a] if s == r else 0)
+            - (d_tau[s][j][r] if a == i else 0)
+            - (sigma_d[i][s][r] if a == j else 0)
+            for i, j, r in product(range(n), repeat=3)
+        ])
+    h, u = hermite_normal_form(mt)
+    return [u[k] for k, row in enumerate(h) if not any(row)]
+
+
 def basis_elements(n):
     return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
 

@@ -140,6 +140,14 @@ def generator_matrices(draw, primes=(2, 3, 5), max_n: int = 12):
 
 
 @st.composite
+def cyclotomic_derivations(draw):
+    """(ring, sigma, tau, D): the builder derivation of Z[z_p], p <= 13, at a
+    drawn D(z), which may be zero."""
+    ring, sigma, tau = draw(endomorphism_pairs(cyclotomic_rings()))
+    return ring, sigma, tau, build_cyclotomic_derivation(ring, sigma, tau, draw(_coords(ring.spec.rank)))
+
+
+@st.composite
 def code_subsets(draw):
     """(B, T, q): the IDD matrix B of a builder derivation of Z[z_p], p <= 13,
     a nonempty set T of its 1-based row indices, and q in {2, 3, 5}.
@@ -148,8 +156,8 @@ def code_subsets(draw):
     Z-linearly dependent; other rows may be dependent too, and an
     independent T may still lose rank mod q.
     """
-    ring, sigma, tau = draw(endomorphism_pairs(cyclotomic_rings()))
-    b = idd_matrix(ring, build_cyclotomic_derivation(ring, sigma, tau, draw(_coords(ring.spec.rank))))
+    ring, _, _, d = draw(cyclotomic_derivations())
+    b = idd_matrix(ring, d)
     subset = draw(st.lists(st.integers(2, b.n), min_size=1, max_size=b.n - 1, unique=True))
     if draw(st.integers(0, 4)) == 0:
         subset.insert(draw(st.integers(0, len(subset))), 1)

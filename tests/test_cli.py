@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sigmatau
-from sigmatau import algebra, conjecture, derivations, intlinalg, rings
+from sigmatau import _backend, algebra, conjecture, derivations, rings
 from sigmatau.cli import run
 
 
@@ -378,6 +378,21 @@ class TestCode:
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "exceeds the budget" in err
 
+    def test_unprovable_prime_modulus_refused_fast(self):
+        # q = 2^89 - 1 is prime but above the bound where is_prime is exact
+        src = Path(sigmatau.__file__).resolve().parents[1]
+        argv = ["code", "--ring", "cyclotomic:7", "--sigma", "1", "--tau", "3",
+                "--dzeta", "1,0,1,0,0,1", "--subset", "2,3", "--q", str(2**89 - 1)]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigmatau", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=10,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "3317044064679887385961981" in proc.stderr
+
     def test_dependent_subset(self, capsys):
         status, _, err = _run(capsys, *self.ARGS[:-1], "1,1")
         assert status == 1
@@ -386,9 +401,10 @@ class TestCode:
 
 class TestReproduce:
     def test_section_32(self, capsys, monkeypatch):
-        # the seed is decided without the paper's O(p^5) adjugate route
+        # the seed is decided without the paper's O(p^5) adjugate route: one
+        # build_A and one determinant, for the golden matrix, and no cofactors
         calls = []
-        for module, name in ((intlinalg, "adjugate"), (derivations, "_adjugate_det_A")):
+        for module, name in ((derivations, "_adjugate_det_A"), (conjecture, "build_A"), (_backend, "det_int")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, n=name, f=real: calls.append(n) or f(*a))
         status, out, _ = _run(capsys, "reproduce-paper", "--section", "3.2")
@@ -398,7 +414,7 @@ class TestReproduce:
             "det == 5: PASS",
             "D(z)=z at p=5 not inner by both deciders: PASS",
         ]
-        assert calls == []
+        assert calls == ["build_A", "det_int"]
 
     def test_section_44(self, capsys):
         status, out, _ = _run(capsys, "reproduce-paper", "--section", "4.4")

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from sigmatau import derivations
+from sigmatau.conjecture import build_A
 from sigmatau.intlinalg import (
-    adjugate,
     det_bareiss,
     hermite_normal_form,
     identity,
@@ -59,28 +60,29 @@ class TestDet:
 
 
 class TestAdjugate:
-    def test_one_by_one(self):
-        assert adjugate([[13]]) == [[1]]
-
-    def test_identity(self):
-        assert adjugate(identity(4)) == identity(4)
+    """derivations._adjugate_det_A, the paper's Section 3.2 adj(A) and det A
+    for the multiplication-by-(z^u - z^w) matrix."""
 
     def test_paper_matrix_identity(self):
-        adj = adjugate(PAPER_A)
+        assert build_A(5, 1, 2) == PAPER_A
+        adj, det = derivations._adjugate_det_A(5, 1, 2)
         want = [[5 if i == j else 0 for j in range(4)] for i in range(4)]
+        assert det == 5
         assert mat_mul(PAPER_A, adj) == want
         assert mat_mul(adj, PAPER_A) == want
 
-    def test_random_identity_both_sides(self):
-        rng = random.Random(11)
-        for _ in range(120):
-            n = rng.randrange(1, 7)
-            a = rand_matrix(rng, n, n)
-            d = det_bareiss(a)
-            adj = adjugate(a)
-            want = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-            assert mat_mul(a, adj) == want
-            assert mat_mul(adj, a) == want
+    def test_identity_both_sides_every_pair_to_p13(self):
+        for p in (3, 5, 7, 11, 13):
+            for u in range(1, p):
+                for w in range(1, p):
+                    if u == w:
+                        continue
+                    a = build_A(p, u, w)
+                    adj, det = derivations._adjugate_det_A(p, u, w)
+                    assert abs(det) == p
+                    want = [[det if i == j else 0 for j in range(p - 1)] for i in range(p - 1)]
+                    assert mat_mul(a, adj) == want, (p, u, w)
+                    assert mat_mul(adj, a) == want, (p, u, w)
 
 
 class TestSolveInteger:
@@ -230,6 +232,9 @@ class TestModQ:
             assert not is_prime(q), q
         assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
         assert not is_prime(2**61 + 1) and not is_prime((2**31 - 1) * (2**61 - 1))
+        # 2^89 - 1 is prime but lies above the bound where the bases are proven
+        with pytest.raises(ValueError, match="exact only below 3317044064679887385961981"):
+            is_prime(2**89 - 1)
 
 
 class TestHnfSolveCrossCheck:

@@ -8,22 +8,35 @@ import re
 import pytest
 from hypothesis import given
 
-from sigmatau.algebra import derivation_failure, spec_from_json, spec_to_json, sub
-from sigmatau.codes import BudgetExceededError, CodeReport, code_report, dual_code, hom_idd_code, is_lcd
+from sigmatau.algebra import derivation_failure, mult_matrix, spec_from_json, spec_to_json, sub
+from sigmatau.codes import (
+    BudgetExceededError,
+    CodeReport,
+    code_report,
+    dual_code,
+    hom_idd_code,
+    idd_matrix,
+    is_lcd,
+)
 from sigmatau.derivations import (
+    biquadratic_basis,
     biquadratic_inner,
+    build_quadratic_derivation,
+    cyclotomic_basis,
     cyclotomic_inner_conjectural,
     derivation_from_json,
     derivation_to_json,
     is_inner_generic,
     quadratic_inner,
 )
-from sigmatau.intlinalg import det_bareiss, transpose
+from sigmatau.intlinalg import det_bareiss, rank_int, rref_mod_q, solve_integer, transpose
 from sigmatau.rings import BiquadraticRing, CyclotomicRing, QuadraticRing
 
 from .oracles import (
     basis_elements,
+    derivation_lattice,
     derivation_law_holds,
+    det_cofactor,
     first_law_failure,
     mat_mul,
     naive_min_distance,
@@ -31,7 +44,15 @@ from .oracles import (
     rank_fraction,
     ring_multiply,
 )
-from .strategies import DIFFERENTIAL, code_subsets, derivations, planted_faults, rings
+from .strategies import (
+    DIFFERENTIAL,
+    code_subsets,
+    cyclotomic_derivations,
+    derivations,
+    endomorphism_pairs,
+    planted_faults,
+    rings,
+)
 
 # enumerations the oracles repeat in pure Python stay at or under 2^12 words
 ENUMERATED = 1 << 12
@@ -134,3 +155,44 @@ def test_code_report_agrees_with_the_oracles(drawn):
         d=naive_min_distance(g, q) if g else None, lcd=lcd,
         dual_n=n, dual_k=dual.k, dual_d=naive_min_distance(h, q) if h else None,
     )
+
+
+def _family_basis(ring, sigma, tau):
+    """(rank, maps): the family's basis of Der for the pair. A quadratic ring
+    has no basis function; its basis is the two free maps D(g) = 1, D(g) = g."""
+    if isinstance(ring, QuadraticRing):
+        return 2, [build_quadratic_derivation(ring, (ring.spec.zero(), e)) for e in basis_elements(2)]
+    space = (cyclotomic_basis if isinstance(ring, CyclotomicRing) else biquadratic_basis)(ring, sigma, tau)
+    return space.rank, space.basis_maps
+
+
+@DIFFERENTIAL
+@given(endomorphism_pairs(rings().filter(lambda ring: ring.spec.rank <= 6)))
+def test_family_basis_is_a_z_basis_of_der(drawn):
+    ring, sigma, tau = drawn
+    lattice = derivation_lattice(ring.spec, sigma, tau)
+    rank, maps = _family_basis(ring, sigma, tau)
+    assert len(lattice) == rank == len(maps)
+    # the maps' coordinates in the lattice basis; |det| = 1 means they span it
+    coords = [solve_integer(transpose(lattice), [v for img in mp.images for v in img]) for mp in maps]
+    assert None not in coords
+    assert abs(det_cofactor(coords)) == 1
+
+
+@DIFFERENTIAL
+@given(cyclotomic_derivations())
+def test_hom_idd_rank_has_the_closed_form(drawn):
+    # with sigma(z) = z^u, tau(z) = z^w and r = w/u mod p, a nonzero D(z)
+    # gives B the rank (p - 1)(1 - 1/ord_p(r)) over Q, and over GF(q) for
+    # every prime q != p that does not divide the norm of D(z)
+    ring, sigma, tau, d = drawn
+    p, dz = ring.p, d.images[1]
+    r = int(tau.name) * pow(int(sigma.name), -1, p) % p
+    order = next(k for k in range(1, p) if pow(r, k, p) == 1)
+    want = (p - 1) - (p - 1) // order if any(dz) else 0
+    b = [list(row) for row in idd_matrix(ring, d).B]
+    assert rank_int(b) == want
+    norm = det_bareiss(mult_matrix(ring.spec, dz))
+    for q in (2, 3, 5, 7):
+        if q != p and norm % q:
+            assert rref_mod_q(b, q)[1] == want
