@@ -4,7 +4,10 @@ Runs each hot kernel on identical inputs through both implementations and
 reports best-of-N wall times plus the end-to-end determinant sweep, whose
 pure-backend run happens in a subprocess with SIGMATAU_PURE=1 so the
 in-process backend choice stays untouched. Kernels with no compiled twin,
-the GF(q) weight histogram, get pure-only rows, printed on either backend.
+the GF(q) weight histogram, get pure-only rows, printed on either backend,
+as do whole code_report calls with the compiled kernels switched off: the
+thirteen reference subsets together, and a [30, 3] binary code at p = 31
+whose 2^27-word dual comes from the MacWilliams identity.
 
 Usage: python3 benchmarks/bench_kernels.py [--max-p N] [--repeat N]
 """
@@ -17,9 +20,10 @@ import sys
 import time
 
 from sigmatau import _backend, _pykernels
+from sigmatau.codes import code_report, idd_matrix, reference_code_reports
 from sigmatau.conjecture import sweep
 from sigmatau.derivations import build_cyclotomic_derivation
-from sigmatau.rings import endomorphisms, make_cyclotomic
+from sigmatau.rings import endomorphism_by_name, endomorphisms, make_cyclotomic
 
 
 def best_of(fn, repeat):
@@ -100,6 +104,27 @@ def bench_weight_counts_modq(rng, k, n):
     return f"weight_counts_modq GF(3) [{n},{k}]", pure
 
 
+def pure_code_reports():
+    """(label, fn) rows of code_report calls on the pure kernels."""
+    ring = make_cyclotomic(31)
+    d = build_cyclotomic_derivation(
+        ring, endomorphism_by_name(ring, "1"), endomorphism_by_name(ring, "2"),
+        [1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0],
+    )
+    b = idd_matrix(ring, d)
+    yield "code_report S1-S13", reference_code_reports
+    yield "code_report p=31 [30,3]", lambda: code_report(b, (2, 3, 5), 2)
+
+
+def best_of_pure(fn, repeat):
+    """best_of with the compiled kernels switched off for the duration."""
+    saved, _backend._kernels = _backend._kernels, None
+    try:
+        return best_of(fn, repeat)
+    finally:
+        _backend._kernels = saved
+
+
 def bench_sweep(max_p, out):
     t0 = time.perf_counter()
     report = sweep(3, max_p, jobs=1)
@@ -141,6 +166,8 @@ def main():
     for k, n in ((10, 16), (12, 30)):
         label, pure = bench_weight_counts_modq(rng, k, n)
         print(f"{label:<34} {best_of(pure, args.repeat):>12.4f}", file=out)
+    for label, pure in pure_code_reports():
+        print(f"{label:<34} {best_of_pure(pure, args.repeat):>12.4f}", file=out)
     if _backend.BACKEND != "compiled":
         print("compiled extension not importable; nothing to compare", file=out)
         return 1

@@ -8,7 +8,11 @@ to its unique rref (standard_form), whose rank is the dimension. The dual
 has one generator per free column of that form, and only the dual's own
 construction eliminates again. A code is LCD iff its
 Gram matrix G G^T has full rank k over GF(q), on every field (Massey, 1992).
-Minimum distance comes from exhaustive codeword enumeration.
+Minimum distance comes from exhaustive codeword enumeration. A report
+enumerates the code C alone: the dual's weight distribution follows from
+C's by the MacWilliams identity, B_j = q^-k sum_i A_i K_j(i) with integer
+Krawtchouk values K_j(i), and every division is asserted exact (MacWilliams
+and Sloane, The Theory of Error-Correcting Codes, Ch. 5).
 
 Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
 the generator rows onward: rref is one XOR pass over the masks, the dual's
@@ -20,7 +24,8 @@ words are intlinalg.nullspace_mod_q's on the standard form, whose rref pass
 finds that form already reduced.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
-q^k exceeds the codeword budget. The pure backend builds one weight
+q^k exceeds the codeword budget; the dual's q^(n-k) words are never walked,
+so the budget counts only C's. The pure backend builds one weight
 histogram per code, bit-sliced: each bit of a big int is one message's
 coordinate, so one integer operation advances up to 2^14 codewords, and a
 ripple counter of bit planes yields the exact counts (over GF(q > 2) each
@@ -33,12 +38,14 @@ compiled Gray walk, which gives a GF(2) minimum without a histogram.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import io
 import json
 import operator
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 from . import _backend, _pykernels, intlinalg
 from .algebra import Coords, _images_of
@@ -248,6 +255,43 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
     return wd
 
 
+@functools.lru_cache(maxsize=64)
+def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Rows j = 0..n of the Krawtchouk matrix, K_j(i) the coefficient of z^j
+    in (1 + (q - 1) z)^(n - i) (1 - z)^i."""
+    cols = []
+    for i in range(n + 1):
+        ones = [comb(n - i, t) * (q - 1) ** t for t in range(n - i + 1)]
+        col = [0] * (n + 1)
+        for s in range(i + 1):
+            c = (-1) ** s * comb(i, s)
+            for t, v in enumerate(ones, start=s):
+                col[t] += c * v
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def _macwilliams_dual(wd, q: int, k: int) -> tuple[int, ...]:
+    """Weight distribution of the dual of an [n, k] code over GF(q) whose
+    distribution is wd (indices 0..n), by the MacWilliams identity.
+
+    B_j = q^-k sum_i A_i K_j(i). Raises AssertionError unless every division
+    is exact, B_0 = 1, every B_j >= 0 and the B_j sum to q^(n-k), so a wrong
+    histogram cannot pass as a distribution.
+    """
+    n = len(wd) - 1
+    size = q**k
+    out = []
+    for row in _krawtchouk(n, q):
+        b, rem = divmod(sum(map(operator.mul, wd, row)), size)
+        if rem:
+            raise AssertionError("MacWilliams division by q^k is not exact")
+        out.append(b)
+    if out[0] != 1 or min(out) < 0 or sum(out) != q ** (n - k):
+        raise AssertionError("MacWilliams transform is not a dual weight distribution")
+    return tuple(out)
+
+
 def dual_code(code: LinearCode) -> LinearCode:
     """Orthogonal complement; dimensions always satisfy k + dual k == n.
 
@@ -300,21 +344,28 @@ class CodeReport:
 def code_report(
     B: IddMatrix, T, q: int, label: str = "", budget: int = DEFAULT_BUDGET
 ) -> CodeReport:
-    """[n,k,d] + LCD flag + dual [n,k,d] for one subset selection."""
+    """[n,k,d] + LCD flag + dual [n,k,d] for one subset selection.
+
+    Only the code's q^k words are enumerated, and only they count against
+    the budget. The dual is not built: its distribution is the MacWilliams
+    transform of the code's, with every division asserted exact, and its
+    distance is the least nonzero weight there.
+    """
     subset = _subset(B, T)
     code = hom_idd_code(B, subset, q)
-    dual = dual_code(code)
-    d = min_distance(code, budget) if code.k else None
-    dual_d = min_distance(dual, budget) if dual.k else None
+    n, k = code.n, code.k
+    d = min_distance(code, budget) if k else None
+    dual_wd = _macwilliams_dual(weight_distribution(code, budget), q, k)
+    dual_d = next(j for j in range(1, n + 1) if dual_wd[j]) if k < n else None
     return CodeReport(
         label=label,
         subset=subset,
-        n=code.n,
-        k=code.k,
+        n=n,
+        k=k,
         d=d,
         lcd=is_lcd(code),
-        dual_n=dual.n,
-        dual_k=dual.k,
+        dual_n=n,
+        dual_k=n - k,
         dual_d=dual_d,
     )
 

@@ -163,6 +163,11 @@ def _codes():
     # a label holding a comma and quotes is one quoted CSV cell
     yield ("code", *pair, "--dzeta", _coords(fix["d_zeta"]), "--subset", _coords(e + 1 for e in fix["subsets"][0]),
            "--q", str(fix["q"]), "--label", 'S1, "a"', "--format", "csv"), ""
+    # the budget counts the code's q^k words alone: these duals have 2^27 and
+    # 4093^15 words, and their distributions come from the MacWilliams identity
+    yield ("code", "--ring", "cyclotomic:31", "--sigma", "1", "--tau", "2",
+           "--dzeta", "1,0,1,1,0,0,1,0,1,0,0,0,1,1,0,1,0,1,0,0,1,1,1,0,0,1,0,1,1,0", "--subset", "2,3,5"), ""
+    yield ("code", *pair, "--dzeta", _coords(fix["d_zeta"]), "--subset", "2", "--q", "4093"), ""
 
 
 def _errors_and_checks():

@@ -6,7 +6,7 @@ path with no shared logic, not speed.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def det_cofactor(a):
@@ -176,6 +176,36 @@ def naive_weight_counts(generator_rows, q, n):
         seen.add(word)
         counts[sum(1 for v in word if v)] += 1
     return counts
+
+
+def _rank_mod_q(rows, q):
+    """Rank over GF(q), q prime, by elimination with Fermat inverses."""
+    m = [[v % q for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], q - 2, q)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % q
+            m[r] = [(v - f * w) % q for v, w in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def min_dependent_columns(generator_rows, q, n):
+    """Least number of the n columns of G that are linearly dependent mod q,
+    found by ranking column subsets of increasing size; None when all n are
+    independent. This is the dual code's minimum distance, found without
+    enumerating the dual."""
+    cols = [[row[c] for row in generator_rows] for c in range(n)]
+    for size in range(1, n + 1):
+        for chosen in combinations(cols, size):
+            if _rank_mod_q(chosen, q) < size:
+                return size
+    return None
 
 
 def odometer_weight_counts(rows, q, n):

@@ -378,6 +378,17 @@ class TestCode:
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "exceeds the budget" in err
 
+    def test_large_dual_runs_fast(self, capsys):
+        # q^k = 4093 words are enumerated; the dual's 4093^15 are not, its
+        # distribution coming from the MacWilliams identity
+        start = time.perf_counter()
+        status, out, err = _run(capsys, *self.ARGS[:-1], "2", "--q", "4093", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (status, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["n"], doc["k"], doc["d"], doc["lcd"]) == (16, 1, 8, True)
+        assert doc["dual"] == {"n": 16, "k": 15, "d": 1}
+
     def test_unprovable_prime_modulus_refused_fast(self):
         # q = 2^89 - 1 is prime but above the bound where is_prime is exact
         src = Path(sigmatau.__file__).resolve().parents[1]

@@ -10,6 +10,7 @@ from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
     LinearCode,
+    _macwilliams_dual,
     code_report,
     dual_code,
     hom_idd_code,
@@ -26,9 +27,15 @@ from sigmatau.codes import (
 )
 from sigmatau.derivations import build_cyclotomic_derivation
 from sigmatau.intlinalg import rref_mod_q
-from sigmatau.rings import endomorphism_by_name, make_cyclotomic, make_quadratic
+from sigmatau.rings import endomorphism_by_name, endomorphisms, make_cyclotomic, make_quadratic
 
-from .oracles import mat_mul, naive_min_distance, naive_weight_counts, odometer_weight_counts
+from .oracles import (
+    mat_mul,
+    min_dependent_columns,
+    naive_min_distance,
+    naive_weight_counts,
+    odometer_weight_counts,
+)
 from .strategies import DIFFERENTIAL, generator_matrices
 
 
@@ -341,6 +348,58 @@ class TestDual:
         code = LinearCode(3, 4, [])
         dual = dual_code(code)
         assert dual.k == 4
+
+
+class TestMacWilliams:
+    """The dual's whole distribution from the code's, against enumerating
+    the words of dual_code's standard form."""
+
+    @staticmethod
+    def _check(code):
+        dual = [list(r) for r in dual_code(code).standard_form]
+        want = naive_weight_counts(dual, code.q, code.n)
+        assert list(_macwilliams_dual(weight_distribution(code), code.q, code.k)) == want
+        # the column-subset oracle that stands in for the dual's enumeration
+        # in the code_report property, checked where both can run
+        g = [list(r) for r in code.standard_form]
+        least = next((j for j in range(1, code.n + 1) if want[j]), None)
+        assert min_dependent_columns(g, code.q, code.n) == least
+
+    def test_reference_subsets(self):
+        b = _reference_matrix()
+        for exponents in load_reference_fixture()["subsets"]:
+            self._check(hom_idd_code(b, _rows_for_exponents(exponents), 2))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_seeded_codes_to_p13(self, q):
+        # image rows of seeded derivations of Z[z_p], and the zero code and
+        # the whole space, while both sides stay small enough to enumerate
+        rng = random.Random(q)
+        checked = set()
+        for p in (3, 5, 7, 11, 13):
+            n = p - 1
+            ring = make_cyclotomic(p)
+            for _ in range(4):
+                sigma, tau = rng.sample(endomorphisms(ring), 2)
+                d = build_cyclotomic_derivation(ring, sigma, tau, [rng.randint(-2, 2) for _ in range(n)])
+                rows = idd_matrix(ring, d).B
+                code = LinearCode(q, n, rng.sample(rows, rng.randint(1, n)))
+                if q**code.k <= 1 << 14 and q ** (n - code.k) <= 1 << 12:
+                    self._check(code)
+                    checked.add(code.k)
+            if q**n <= 1 << 12:
+                self._check(LinearCode(q, n, []))
+                self._check(LinearCode(q, n, [[int(i == j) for j in range(n)] for i in range(n)]))
+                checked |= {0, n}
+        assert len(checked) >= 3
+
+    def test_corrupted_count_fails_exact_division(self):
+        b = _reference_matrix()
+        code = hom_idd_code(b, _rows_for_exponents([1, 2, 6, 7]), 2)
+        wd = list(weight_distribution(code))
+        wd[7] += 1
+        with pytest.raises(AssertionError, match="not exact"):
+            _macwilliams_dual(wd, 2, code.k)
 
 
 class TestLcd:
