@@ -1,7 +1,8 @@
 """Timing comparison between the compiled kernels and their pure twins.
 
 Runs each hot kernel on identical inputs through both implementations and
-reports best-of-N wall times plus the end-to-end determinant sweep, whose
+reports best-of-N wall times: the determinant on a dense random 12x12 matrix
+and on every sweep case A(31, u, w), then the end-to-end sweep, whose
 pure-backend run happens in a subprocess with SIGMATAU_PURE=1 so the
 in-process backend choice stays untouched. Kernels with no compiled twin,
 the GF(q) weight histogram, get pure-only rows, printed on either backend,
@@ -21,7 +22,7 @@ import time
 
 from sigmatau import _backend, _pykernels
 from sigmatau.codes import code_report, idd_matrix, reference_code_reports
-from sigmatau.conjecture import sweep
+from sigmatau.conjecture import build_A, sweep
 from sigmatau.derivations import build_cyclotomic_derivation
 from sigmatau.rings import endomorphism_by_name, endomorphisms, make_cyclotomic
 
@@ -52,6 +53,24 @@ def bench_det(rng, repeat):
             _pykernels.det_bareiss(a)
 
     return "det_bareiss 12x12 x200", compiled, pure
+
+
+def bench_det_sweep_cases(rng, repeat):
+    # the sweep's own input: A(31, u, w) for every case at p = 31, sparse
+    # enough that the pure kernel skips many of its row updates
+    mats = [build_A(31, u, w) for u in range(1, 31) for w in range(1, 31) if u != w]
+
+    def compiled():
+        from sigmatau import _kernels
+
+        for a in mats:
+            _kernels.det_bareiss_i64(a)
+
+    def pure():
+        for a in mats:
+            _pykernels.det_bareiss(a)
+
+    return f"det_bareiss build_A p=31 x{len(mats)}", compiled, pure
 
 
 def bench_derivation_failure(rng, repeat):
@@ -174,7 +193,7 @@ def main():
 
     print(f"{'kernel':<34} {'compiled s':>12} {'pure s':>12} {'speedup':>10}", file=out)
     rng = random.Random(2024)
-    for builder in (bench_det, bench_derivation_failure, bench_min_weight):
+    for builder in (bench_det, bench_det_sweep_cases, bench_derivation_failure, bench_min_weight):
         label, compiled, pure = builder(rng, args.repeat)
         _print_row(out, label, best_of(compiled, args.repeat), best_of(pure, args.repeat))
     bench_sweep(args.max_p, out)

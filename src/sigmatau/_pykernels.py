@@ -20,7 +20,14 @@ from itertools import product
 
 
 def det_bareiss(rows) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces a_ij by (p_k a_ij - a_ik a_kj) / p_(k-1), with p_k the
+    pivot. When a_ik = 0 and p_k = p_(k-1) that is a_ij itself, so such a
+    row is left as it is: the update would change none of its entries.
+    Multiplication matrices such as conjecture.build_A's, whose columns
+    mostly have two nonzeros, skip many rows this way.
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -38,9 +45,12 @@ def det_bareiss(rows) -> int:
                 return 0
         pk = a[k][k]
         rk = a[k]
+        same = pk == prev
         for i in range(k + 1, n):
             row = a[i]
             aik = row[k]
+            if aik == 0 and same:
+                continue
             row[k] = 0
             for j in range(k + 1, n):
                 # exact division: every Bareiss minor is an integer

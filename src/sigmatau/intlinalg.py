@@ -5,9 +5,14 @@ determinant is Bareiss fraction-free elimination, and the row Hermite normal
 form is the only other integer row reduction: the rank and every integer
 solve are read off it. Mod-q routines require q prime so that every nonzero
 residue is invertible; is_prime proves it, or refuses a q too large to prove.
+Entries, right-hand sides and moduli must be integers: a float or any other
+non-integer raises TypeError (through operator.index) where a function first
+copies its input, or for det_bareiss, whose kernels copy, on entry.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import _backend
 
@@ -28,6 +33,7 @@ def is_prime(q: int) -> bool:
     above that bound that passes them all cannot be proven prime here and
     raises ValueError; a composite one is still rejected.
     """
+    q = operator.index(q)
     if q < 2:
         return False
     for b in _MR_BASES:
@@ -88,6 +94,10 @@ def det_bareiss(a) -> int:
     m, n = _dims(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
+    # a float, Fraction or other non-integer entry makes the sum one too;
+    # one C pass, where an index call per entry slowed the compiled sweep
+    # (whose kernel would truncate a float) by about a third
+    operator.index(sum(map(sum, a)))
     return _backend.det_int(a)
 
 
@@ -102,8 +112,8 @@ def hermite_normal_form(rows) -> tuple[IntMatrix, IntMatrix]:
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     and zero rows sink to the bottom.
     """
-    m, n = _dims(rows)
-    a = [list(r) for r in rows]
+    a = [list(map(operator.index, r)) for r in rows]
+    m, n = _dims(a)
     u = identity(m)
     row = 0
     for col in range(n):
@@ -151,6 +161,7 @@ def solve_integer(a, c) -> tuple[int, ...] | None:
     the result is verified against the original system before returning.
     """
     m, n = _dims(a)
+    c = list(map(operator.index, c))
     if len(c) != m:
         raise ValueError("dimension mismatch")
     if n == 0:
@@ -185,8 +196,8 @@ def _solve_with_hnf(a, h, u, c) -> tuple[int, ...] | None:
 def rref_mod_q(rows, q: int) -> tuple[IntMatrix, int, list[int]]:
     """Reduced row echelon form mod prime q: (R, rank, pivot columns)."""
     _require_prime(q)
-    m, n = _dims(rows)
-    a = [[x % q for x in row] for row in rows]
+    a = [[operator.index(x) % q for x in row] for row in rows]
+    m, n = _dims(a)
     pivots: list[int] = []
     r = 0
     for col in range(n):

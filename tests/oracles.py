@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: cofactor expansion, Fraction-based
 Gaussian elimination, message-space enumeration. The point is a second code
-path with no shared logic, not speed.
+path with no shared logic, not speed. The one exception is
+det_bareiss_every_row, the package's Bareiss loop without its skip of the
+updates that leave a row unchanged: it checks that skip alone.
 """
 
 from fractions import Fraction
@@ -23,6 +25,37 @@ def det_cofactor(a):
         term = a[0][j] * det_cofactor(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def det_bareiss_every_row(a):
+    """Bareiss elimination that updates every row below the pivot at every
+    step, whether or not the update can change it."""
+    n = len(a)
+    if n == 0:
+        return 1
+    a = [list(r) for r in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = a[k][k]
+        rk = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            row[k] = 0
+            for j in range(k + 1, n):
+                # exact division: every Bareiss minor is an integer
+                row[j] = (pk * row[j] - aik * rk[j]) // prev
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def solve_via_adjugate(a, c):

@@ -140,6 +140,40 @@ def generator_matrices(draw, primes=(2, 3, 5), max_n: int = 12):
 
 
 @st.composite
+def square_matrices(draw, max_n: int = 10):
+    """A square integer matrix of size 0..max_n with entries in [-9, 9], of
+    one of four kinds: dense; sparse, at least 70 % zeros; singular, one row
+    a combination of others or zero; and leading, with a zero or negative
+    top-left entry and a run of zeros atop the first column, so the first
+    steps swap rows or pivot on a negative."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(("dense", "sparse", "singular", "leading")))
+    entry = st.integers(-9, 9)
+    if kind == "sparse":
+        a = [[0] * n for _ in range(n)]
+        cells = st.integers(0, n * n - 1) if n else st.nothing()
+        for c in draw(st.lists(cells, max_size=3 * n * n // 10, unique=True)):
+            a[c // n][c % n] = draw(entry.filter(bool))
+        return a
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "singular" and n:
+        i = draw(st.integers(0, n - 1))
+        others = [r for r in range(n) if r != i]
+        if others:
+            picked = draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True))
+            coeffs = [draw(st.integers(-2, 2)) for _ in picked]
+            a[i] = [sum(c * a[r][j] for c, r in zip(coeffs, picked)) for j in range(n)]
+        else:
+            a[i] = [0]
+    elif kind == "leading" and n:
+        for r in range(draw(st.integers(0, n - 1))):
+            a[r][0] = 0
+        if a[0][0] > 0:
+            a[0][0] = -a[0][0]
+    return a
+
+
+@st.composite
 def cyclotomic_derivations(draw):
     """(ring, sigma, tau, D): the builder derivation of Z[z_p], p <= 13, at a
     drawn D(z), which may be zero."""

@@ -60,6 +60,15 @@ class TestRing:
         assert status == 1
         assert err.startswith("error:")
 
+    def test_radicand_above_the_bound_refused_fast(self, capsys):
+        # trial division to the cube root of 10^27 would take minutes
+        start = time.perf_counter()
+        status, out, err = _run(capsys, "ring", "--ring", "quadratic:1000000000000000000000000007")
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "10^18" in err
+
 
 class TestDeriveAndCheck:
     def test_round_trip(self, capsys, tmp_path):

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from sigmatau import derivations
+from sigmatau import _backend, derivations
 from sigmatau.conjecture import build_A
 from sigmatau.intlinalg import (
     det_bareiss,
@@ -253,3 +254,53 @@ class TestHnfSolveCrossCheck:
 
     def test_transpose_helper(self):
         assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+
+
+@pytest.fixture(params=["loaded", "pure"])
+def backend(request, monkeypatch):
+    """The backend this run loaded, then the pure one with the compiled
+    kernels switched off."""
+    if request.param == "pure":
+        monkeypatch.setattr(_backend, "_kernels", None)
+    return request.param
+
+
+class TestNonIntegerInputRaises:
+    """A float would give a silently wrong answer (the compiled determinant
+    truncates it, the pure one divides inexactly), so each public function
+    refuses it where it first copies its input."""
+
+    def test_det_bareiss(self, backend):
+        with pytest.raises(TypeError):
+            det_bareiss([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(TypeError):
+            det_bareiss([[2, 0], [0, 1.0]])
+        # refused even when the entries sum to a whole number
+        with pytest.raises(TypeError):
+            det_bareiss([[0.5, -0.5], [0, 1]])
+        with pytest.raises(TypeError):
+            det_bareiss([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+
+    def test_solve_integer(self, backend):
+        with pytest.raises(TypeError):
+            solve_integer([[2.0, 0], [0, 1]], [4, 1])
+        with pytest.raises(TypeError):
+            solve_integer([[2, 0], [0, 1]], [4.0, 1])
+
+    def test_hermite_normal_form(self, backend):
+        with pytest.raises(TypeError):
+            hermite_normal_form([[2, 4], [1, 3.0]])
+
+    def test_is_prime(self, backend):
+        with pytest.raises(TypeError):
+            is_prime(7.0)
+
+    def test_rref_mod_q(self, backend):
+        with pytest.raises(TypeError):
+            rref_mod_q([[1, 0.5]], 2)
+        with pytest.raises(TypeError):
+            rref_mod_q([[1, 1]], 2.0)
+
+    def test_integer_like_entries_still_work(self, backend):
+        assert det_bareiss([[True, 0], [0, 3]]) == 3
+        assert is_prime(True) is False

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given
 
+from sigmatau import _pykernels
 from sigmatau.algebra import derivation_failure, mult_matrix, spec_from_json, spec_to_json, sub
 from sigmatau.codes import (
     BudgetExceededError,
@@ -18,6 +19,7 @@ from sigmatau.codes import (
     idd_matrix,
     is_lcd,
 )
+from sigmatau.conjecture import build_A, primes_in
 from sigmatau.derivations import (
     biquadratic_basis,
     biquadratic_inner,
@@ -36,6 +38,7 @@ from .oracles import (
     basis_elements,
     derivation_lattice,
     derivation_law_holds,
+    det_bareiss_every_row,
     det_cofactor,
     first_law_failure,
     mat_mul,
@@ -53,6 +56,7 @@ from .strategies import (
     endomorphism_pairs,
     planted_faults,
     rings,
+    square_matrices,
 )
 
 # enumerations the oracles repeat in pure Python stay at or under 2^12 words
@@ -203,3 +207,25 @@ def test_hom_idd_rank_has_the_closed_form(drawn):
     for q in (2, 3, 5, 7):
         if q != p and norm % q:
             assert rref_mod_q(b, q)[1] == want
+
+
+@DIFFERENTIAL
+@given(square_matrices())
+def test_bareiss_agrees_with_the_full_update_and_cofactors(a):
+    # the kernel skips a row when its update is the identity; the oracle
+    # updates every row, and cofactor expansion shares nothing with either
+    want = det_bareiss_every_row(a)
+    assert _pykernels.det_bareiss(a) == want
+    assert det_bareiss(a) == want
+    if len(a) <= 6:
+        assert det_cofactor(a) == want
+
+
+def test_bareiss_agrees_with_the_full_update_on_every_sweep_case():
+    # the sweep's own matrices, every case at p <= 31
+    for p in primes_in(3, 31):
+        for u in range(1, p):
+            for w in range(1, p):
+                if u != w:
+                    a = build_A(p, u, w)
+                    assert _pykernels.det_bareiss(a) == det_bareiss_every_row(a) == p, (p, u, w)

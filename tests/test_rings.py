@@ -172,6 +172,22 @@ class TestSquareFree:
         assert time.perf_counter() - start < 1.0
         assert ring.spec.labels == ("1", "sqrt(100000000000000003)")
 
+    @pytest.mark.parametrize("make", [
+        make_quadratic,
+        lambda d: make_biquadratic(2, d),
+        lambda d: make_biquadratic(d, 3),
+    ])
+    @pytest.mark.parametrize("d", [10**18 + 9, -(10**18) - 3, 10**20 + 39, 10**27 + 7])
+    def test_radicand_above_the_bound_refused_before_trial_division(self, monkeypatch, make, d):
+        monkeypatch.setattr(rings, "_is_square_free", None)
+        with pytest.raises(ValueError, match=r"at most 10\^18"):
+            make(d)
+
+    def test_radicand_at_the_bound_is_tested(self):
+        # 10^18 = 2^18 5^18 passes the bound and fails square-freeness
+        with pytest.raises(ValueError, match="square-free"):
+            make_quadratic(10**18)
+
 
 class TestBiquadratic:
     def test_table_products(self):
