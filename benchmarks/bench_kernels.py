@@ -8,7 +8,10 @@ in-process backend choice stays untouched. Kernels with no compiled twin,
 the GF(q) weight histogram, get pure-only rows, printed on either backend,
 as do whole code_report calls with the compiled kernels switched off: the
 thirteen reference subsets together, and a [30, 3] binary code at p = 31
-whose 2^27-word dual comes from the MacWilliams identity.
+whose 2^27-word dual comes from the MacWilliams identity. The thirteen
+reports also get a cold row, on an IddMatrix that has not reduced its rows
+mod 2 yet, and a warm row, on one that has; with the extension built they
+are timed on both backends.
 
 Usage: python3 benchmarks/bench_kernels.py [--max-p N] [--repeat N]
 """
@@ -21,7 +24,13 @@ import sys
 import time
 
 from sigmatau import _backend, _pykernels
-from sigmatau.codes import code_report, idd_matrix, reference_code_reports
+from sigmatau.codes import (
+    IddMatrix,
+    code_report,
+    idd_matrix,
+    load_reference_fixture,
+    reference_code_reports,
+)
 from sigmatau.conjecture import build_A, sweep
 from sigmatau.derivations import build_cyclotomic_derivation
 from sigmatau.rings import endomorphism_by_name, endomorphisms, make_cyclotomic
@@ -135,6 +144,29 @@ def pure_code_reports():
     yield "code_report p=31 [30,3]", lambda: code_report(b, (2, 3, 5), 2)
 
 
+def reference_report_passes():
+    """(label, fn) rows of the thirteen reference reports on one IddMatrix:
+    cold, on a new matrix each call, so the rows are reduced mod 2 first,
+    and warm, on a matrix that holds them already."""
+    fix = load_reference_fixture()
+    ring = make_cyclotomic(fix["p"])
+    d = build_cyclotomic_derivation(
+        ring, endomorphism_by_name(ring, fix["sigma"]), endomorphism_by_name(ring, fix["tau"]),
+        fix["d_zeta"],
+    )
+    rows = idd_matrix(ring, d).B
+    subsets = [[e + 1 for e in exponents] for exponents in fix["subsets"]]
+
+    def reports(b):
+        for t in subsets:
+            code_report(b, t, fix["q"])
+
+    warm = IddMatrix(rows)
+    reports(warm)
+    yield "code_report S1-S13 cold matrix", lambda: reports(IddMatrix(rows))
+    yield "code_report S1-S13 warm matrix", lambda: reports(warm)
+
+
 def best_of_pure(fn, repeat):
     """best_of with the compiled kernels switched off for the duration."""
     saved, _backend._kernels = _backend._kernels, None
@@ -185,7 +217,7 @@ def main():
     for k, n in ((10, 16), (12, 30)):
         label, pure = bench_weight_counts_modq(rng, k, n)
         print(f"{label:<34} {best_of(pure, args.repeat):>12.4f}", file=out)
-    for label, pure in pure_code_reports():
+    for label, pure in (*pure_code_reports(), *reference_report_passes()):
         print(f"{label:<34} {best_of_pure(pure, args.repeat):>12.4f}", file=out)
     if _backend.BACKEND != "compiled":
         print("compiled extension not importable; nothing to compare", file=out)
@@ -196,6 +228,8 @@ def main():
     for builder in (bench_det, bench_det_sweep_cases, bench_derivation_failure, bench_min_weight):
         label, compiled, pure = builder(rng, args.repeat)
         _print_row(out, label, best_of(compiled, args.repeat), best_of(pure, args.repeat))
+    for label, fn in reference_report_passes():
+        _print_row(out, label, best_of(fn, args.repeat), best_of_pure(fn, args.repeat))
     bench_sweep(args.max_p, out)
     return 0
 

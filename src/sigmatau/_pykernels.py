@@ -169,9 +169,10 @@ def weight_counts_gf2(masks, n: int) -> list[int]:
         half = 1 << r
         pattern = (((1 << half) - 1) << half) * full // ((1 << (2 * half)) - 1)
         row = masks[r]
-        for c in range(n):
-            if row >> c & 1:
-                cols[c] ^= pattern
+        while row:
+            bit = row & -row
+            cols[bit.bit_length() - 1] ^= pattern
+            row ^= bit
     # columns the low rows never touch are constant on a block
     const = sum(1 << c for c in range(n) if not cols[c])
     live = [(c, x) for c, x in enumerate(cols) if x]

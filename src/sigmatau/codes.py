@@ -18,7 +18,10 @@ Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
 the generator rows onward: rref is one XOR pass over the masks, the dual's
 generators are masks read off the pivots, the Gram entries are parities of
 popcounts of ANDed rows and its rank is found by XOR, and the enumeration
-kernels take the masks as they are. Over GF(q > 2) rows stay lists: the
+kernels take the masks as they are. A code keeps only the masks, and its
+standard form's tuples are built when first asked for. An IddMatrix checks
+and reduces its rows once per q, so the codes of its row subsets start from
+those reduced rows. Over GF(q > 2) rows stay lists: the
 code's rref and the Gram rank are intlinalg.rref_mod_q's, and the dual's
 words are intlinalg.nullspace_mod_q's on the standard form, whose rref pass
 finds that form already reduced.
@@ -30,9 +33,11 @@ histogram per code, bit-sliced: each bit of a big int is one message's
 coordinate, so one integer operation advances up to 2^14 codewords, and a
 ripple counter of bit planes yields the exact counts (over GF(q > 2) each
 column keeps q one-hot lane masks, one per residue). The histogram is
-cached with the minimum distance read off it, so a code is enumerated once
-whichever of the two is asked for first. The only other path is the
-compiled Gray walk, which gives a GF(2) minimum without a histogram.
+cached and the minimum distance is read off it, so a code is enumerated
+once whichever of the two is asked for first. The only other path is the
+compiled Gray walk, which gives a GF(2) minimum without a histogram; a
+report needs the histogram anyway, so only a standalone min_distance
+runs it.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import io
 import json
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from . import _backend, _pykernels, intlinalg
@@ -62,13 +67,32 @@ class BudgetExceededError(RuntimeError, ValueError):
 
 @dataclass(frozen=True, slots=True)
 class IddMatrix:
-    """Rows of ring-basis coordinates of D(basis element), one per element."""
+    """Rows of ring-basis coordinates of D(basis element), one per element.
+
+    The rows reduced mod q are kept per q from the first code built over
+    GF(q): int bit masks for q = 2, tuples of residues otherwise. Every entry
+    is checked once, by that reduction, so a non-integer raises TypeError
+    from the first code built on it.
+    """
 
     B: tuple[Coords, ...]
+    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.B)
+
+    def _rows_mod(self, q: int) -> tuple:
+        rows = self._reduced.get(q)
+        if rows is None:
+            checked = [list(map(operator.index, row)) for row in self.B]
+            _check_lengths(checked, self.n)
+            if q == 2:
+                rows = tuple(map(_row_mask, checked))
+            else:
+                rows = tuple(tuple(v % q for v in row) for row in checked)
+            self._reduced[q] = rows
+        return rows
 
 
 def idd_matrix(ring, D) -> IddMatrix:
@@ -78,9 +102,10 @@ def idd_matrix(ring, D) -> IddMatrix:
 def _subset(B: IddMatrix, T) -> tuple[int, ...]:
     # 1-based row indices; a float or other non-integer raises TypeError
     idx = tuple(map(operator.index, T))
+    n = B.n
     for t in idx:
-        if not 1 <= t <= B.n:
-            raise ValueError(f"row index {t} outside 1..{B.n}")
+        if not 1 <= t <= n:
+            raise ValueError(f"row index {t} outside 1..{n}")
     return idx
 
 
@@ -103,35 +128,49 @@ class LinearCode:
     """Code over GF(q) spanned by generator rows; rref and rank are eager,
     distance and weight distribution are computed on demand and cached.
 
-    Over GF(2) the reduced rows are also kept as bit masks (bit c holds
-    coordinate c), which the dual, the LCD test and the enumerations read.
+    Over GF(2) only the reduced rows' bit masks (bit c holds coordinate c) are
+    kept, which the dual, the LCD test and the enumerations read; the
+    standard form's tuples are built from them when first asked for.
     """
 
-    __slots__ = ("q", "n", "standard_form", "k", "_masks", "_d", "_wd")
+    __slots__ = ("q", "n", "k", "_masks", "_form", "_d", "_wd")
 
     def __init__(self, q: int, n: int, generator):
         intlinalg._require_prime(q)
         # a float or other non-integer entry raises TypeError
         rows = [list(map(operator.index, row)) for row in generator]
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("generator rows must have the code length")
+        _check_lengths(rows, n)
+        self._reduce(q, n, map(_row_mask, rows) if q == 2 else rows)
+
+    @classmethod
+    def _of_checked(cls, q: int, n: int, rows) -> LinearCode:
+        """The code of rows already checked: bit masks over GF(2), rows of
+        integers of length n otherwise."""
+        code = cls.__new__(cls)
+        code._reduce(q, n, rows)
+        return code
+
+    def _reduce(self, q: int, n: int, rows) -> None:
         self.q = q
         self.n = n
-        self._d: int | None = None
-        self._wd: tuple[int, ...] | None = None
+        self._d = None
+        self._wd = None
         if q == 2:
-            self._reduce_gf2(map(_row_mask, rows))
+            self._masks = tuple(_rref_gf2(rows))
+            self._form = None
+            self.k = len(self._masks)
         else:
             red, rank, _ = intlinalg.rref_mod_q(rows, q)
-            self.standard_form = tuple(tuple(r) for r in red[:rank])
-            self.k = rank
+            self._form = tuple(tuple(r) for r in red[:rank])
             self._masks = None
+            self.k = rank
 
-    def _reduce_gf2(self, masks) -> None:
-        self._masks = tuple(_rref_gf2(masks))
-        self.standard_form = tuple(_mask_row(m, self.n) for m in self._masks)
-        self.k = len(self._masks)
+    @property
+    def standard_form(self) -> tuple[tuple[int, ...], ...]:
+        """The unique rref's nonzero rows, as tuples of residues."""
+        if self._form is None:
+            self._form = tuple(_mask_row(m, self.n) for m in self._masks)
+        return self._form
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -143,6 +182,12 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
+
+
+def _check_lengths(rows, n: int) -> None:
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("generator rows must have the code length")
 
 
 def _row_mask(row) -> int:
@@ -192,7 +237,9 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
     only when the mod-q rank falls short.
     """
     idx = _subset(B, T)
-    code = LinearCode(q, B.n, [B.B[t - 1] for t in idx])
+    intlinalg._require_prime(q)
+    rows = B._rows_mod(q)
+    code = LinearCode._of_checked(q, B.n, [rows[t - 1] for t in idx])
     if code.k < len(idx):
         if not independent_subset_check(B, idx):
             raise ValueError("selected rows are not Z-linearly independent")
@@ -215,28 +262,34 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
 
     Never approximates: when q^k exceeds the budget the enumeration is
-    refused with BudgetExceededError. A GF(2) code runs the compiled Gray
-    walk when the extension is built and its masks fit; otherwise the
-    minimum is read off weight_distribution's histogram, which caches both.
+    refused with BudgetExceededError. A code whose weight distribution is
+    cached reads the minimum off it. Otherwise a GF(2) code runs the compiled
+    Gray walk when the extension is built and its masks fit, and any other
+    code reads it off weight_distribution's histogram, which caches it.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
     if code._d is None:
-        _check_budget(code, budget)
-        if code.q == 2:
+        if code._wd is None and code.q == 2:
+            _check_budget(code, budget)
             code._d = _backend.min_weight_gf2(code._masks)
         if code._d is None:
-            weight_distribution(code, budget)
+            code._d = _least_weight(weight_distribution(code, budget))
     return code._d
+
+
+def _least_weight(wd) -> int | None:
+    """The least nonzero weight holding a word, None when only 0 does."""
+    return next((w for w in range(1, len(wd)) if wd[w]), None)
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Counts of codewords by Hamming weight, indices 0..n, zero word included.
 
     Every one of the q^k codewords is enumerated, bit-sliced over every
-    field, so the budget refuses the same codes as min_distance. The
-    minimum distance read off the counts fills min_distance's cache, or is
-    cross-checked against it when the compiled walk filled it first.
+    field, so the budget refuses the same codes as min_distance. The counts
+    are cached, and min_distance reads its minimum off them; a minimum the
+    compiled walk found first is cross-checked against them.
     """
     if code._wd is not None:
         return code._wd
@@ -246,11 +299,8 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
     else:
         counts = _pykernels.weight_counts_modq(code.standard_form, code.q, code.n)
     wd = tuple(counts)
-    if code.k >= 1:
-        d = next(w for w in range(1, code.n + 1) if wd[w])
-        if code._d not in (None, d):
-            raise AssertionError("weight distribution disagrees with the Gray walk")
-        code._d = d
+    if code._d is not None and code._d != _least_weight(wd):
+        raise AssertionError("weight distribution disagrees with the Gray walk")
     code._wd = wd
     return wd
 
@@ -306,9 +356,7 @@ def dual_code(code: LinearCode) -> LinearCode:
         masks = code._masks
         pivots = sum(m & -m for m in masks)
         free = [1 << f for f in range(n) if not pivots >> f & 1]
-        dual = LinearCode(2, n, ())
-        dual._reduce_gf2([f | sum(m & -m for m in masks if m & f) for f in free])
-        return dual
+        return LinearCode._of_checked(2, n, [f | sum(m & -m for m in masks if m & f) for f in free])
     return LinearCode(q, n, intlinalg.nullspace_mod_q(code.standard_form or [[0] * n], q))
 
 
@@ -316,12 +364,18 @@ def is_lcd(code: LinearCode) -> bool:
     """True iff the code meets its dual only in 0: G G^T has rank k over GF(q).
 
     Over GF(2) the Gram matrix is built on masks, entry (i, j) being the
-    parity of the number of coordinates where rows i and j both hold 1, and
-    its rank is found by XOR; over GF(q > 2) it is rref_mod_q's.
+    parity of the number of coordinates where rows i and j both hold 1, one
+    parity per pair i <= j since the matrix is symmetric, and its rank is
+    found by XOR; over GF(q > 2) it is rref_mod_q's.
     """
     if code.q == 2:
         g = code._masks
-        gram = [sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g)) for a in g]
+        gram = [0] * len(g)
+        for i, a in enumerate(g):
+            for j in range(i, len(g)):
+                if (a & g[j]).bit_count() & 1:
+                    gram[i] |= 1 << j
+                    gram[j] |= 1 << i
         return len(_rref_gf2(gram)) == code.k
     g = code.standard_form
     gram = [[sum(map(operator.mul, a, b)) for b in g] for a in g]
@@ -346,17 +400,18 @@ def code_report(
 ) -> CodeReport:
     """[n,k,d] + LCD flag + dual [n,k,d] for one subset selection.
 
-    Only the code's q^k words are enumerated, and only they count against
-    the budget. The dual is not built: its distribution is the MacWilliams
-    transform of the code's, with every division asserted exact, and its
-    distance is the least nonzero weight there.
+    Only the code's q^k words are enumerated, once, for the histogram, and
+    only they count against the budget; the code's distance is read off it.
+    The dual is not built: its distribution is the MacWilliams transform of
+    the code's, with every division asserted exact, and its distance is the
+    least nonzero weight there.
     """
     subset = _subset(B, T)
     code = hom_idd_code(B, subset, q)
     n, k = code.n, code.k
+    wd = weight_distribution(code, budget)
     d = min_distance(code, budget) if k else None
-    dual_wd = _macwilliams_dual(weight_distribution(code, budget), q, k)
-    dual_d = next(j for j in range(1, n + 1) if dual_wd[j]) if k < n else None
+    dual_d = _least_weight(_macwilliams_dual(wd, q, k))
     return CodeReport(
         label=label,
         subset=subset,

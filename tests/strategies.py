@@ -182,9 +182,9 @@ def cyclotomic_derivations(draw):
 
 
 @st.composite
-def code_subsets(draw):
+def code_subsets(draw, primes=(2, 3, 5)):
     """(B, T, q): the IDD matrix B of a builder derivation of Z[z_p], p <= 13,
-    a nonempty set T of its 1-based row indices, and q in {2, 3, 5}.
+    a nonempty set T of its 1-based row indices, and q drawn from primes.
 
     Row 1 holds D(1) = 0. It joins about one T in five, which makes T
     Z-linearly dependent; other rows may be dependent too, and an
@@ -195,4 +195,4 @@ def code_subsets(draw):
     subset = draw(st.lists(st.integers(2, b.n), min_size=1, max_size=b.n - 1, unique=True))
     if draw(st.integers(0, 4)) == 0:
         subset.insert(draw(st.integers(0, len(subset))), 1)
-    return b, subset, draw(st.sampled_from((2, 3, 5)))
+    return b, subset, draw(st.sampled_from(primes))

@@ -1,16 +1,21 @@
 import csv
 import io
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from sigmatau import _backend, _pykernels, intlinalg
+from sigmatau import _backend, _pykernels, codes, intlinalg
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
+    IddMatrix,
     LinearCode,
     _macwilliams_dual,
+    _mask_row,
+    _row_mask,
+    _rref_gf2,
     code_report,
     dual_code,
     hom_idd_code,
@@ -151,11 +156,12 @@ class TestLinearCode:
         with pytest.raises(ValueError, match="code length"):
             LinearCode(2, 4, [[1, 0]])
 
-    def test_non_integer_entries_rejected(self):
+    @pytest.mark.parametrize("entry", [1.0, Fraction(1)])
+    def test_non_integer_entries_rejected(self, entry):
         # mod-2 masks would read 1.0 as 1; every field checks entries first
         for q in (2, 3):
             with pytest.raises(TypeError):
-                LinearCode(q, 3, [[1.0, 0, 1]])
+                LinearCode(q, 3, [[entry, 0, 1]])
 
     def test_modulus_checked(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -164,6 +170,79 @@ class TestLinearCode:
     def test_repr(self):
         code = LinearCode(2, 4, [[1, 1, 0, 0]])
         assert repr(code) == "LinearCode([4,1] over GF(2))"
+
+
+class TestLazyStandardForm:
+    """A GF(2) code keeps only its masks; its standard form, == and hash
+    are those of the eager rref of the same rows."""
+
+    @DIFFERENTIAL
+    @given(generator_matrices(primes=(2,)))
+    def test_matches_the_eager_rref(self, drawn):
+        _, n, rows = drawn
+        eager = tuple(_mask_row(m, n) for m in _rref_gf2(map(_row_mask, rows)))
+        code = LinearCode(2, n, rows)
+        assert code._form is None
+        assert hash(code) == hash((2, n, eager))
+        assert code == LinearCode(2, n, [list(r) for r in eager])
+        assert code.standard_form == eager
+        assert code.standard_form is code.standard_form
+
+    def test_a_report_never_builds_it(self):
+        b = _reference_matrix()
+        code = hom_idd_code(b, _rows_for_exponents([1, 2, 4, 5, 6, 7, 10, 13]), 2)
+        min_distance(code)
+        weight_distribution(code)
+        is_lcd(code)
+        dual_code(code)
+        assert code._form is None
+
+
+class TestReducedRows:
+    """An IddMatrix reduces its rows mod q once, on the first code over
+    GF(q); a report reads the same whether they are reduced yet or not."""
+
+    def test_reference_reports_fresh_and_warm(self):
+        warm = _reference_matrix()
+        for q in (2, 3):
+            warm._rows_mod(q)
+        fix = load_reference_fixture()
+        for i, exponents in enumerate(fix["subsets"], start=1):
+            t = _rows_for_exponents(exponents)
+            for q in (2, 3):
+                fresh = _reference_matrix()
+                assert fresh._reduced == {}
+                assert code_report(fresh, t, q, label=f"S{i}") == code_report(warm, t, q, label=f"S{i}")
+                assert fresh._reduced[q] == warm._reduced[q]
+
+    def test_rows_kept_per_q(self):
+        b = _reference_matrix()
+        masks = b._rows_mod(2)
+        assert masks[1] == _row_mask(b.B[1])
+        assert b._rows_mod(3)[1] == tuple(v % 3 for v in b.B[1])
+        assert b._rows_mod(2) is masks
+        assert b == _reference_matrix() and hash(b) == hash(_reference_matrix())
+
+    @pytest.mark.parametrize("entry", [1.0, Fraction(1)])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_non_integer_entry_raises_from_a_report(self, entry, q):
+        rows = [list(r) for r in _reference_matrix().B]
+        t = _rows_for_exponents([1, 2, 6, 7])
+        for row in (t[0] - 1, 0):  # a selected row, then an unselected one
+            bad = [list(r) for r in rows]
+            bad[row][5] = entry
+            b = IddMatrix(tuple(map(tuple, bad)))
+            with pytest.raises(TypeError):
+                code_report(b, t, q)
+            with pytest.raises(TypeError):
+                hom_idd_code(b, t, q)
+            assert b._reduced == {}
+
+    def test_float_modulus_rejected_after_the_rows_are_reduced(self):
+        b = _reference_matrix()
+        b._rows_mod(2)
+        with pytest.raises(TypeError):
+            hom_idd_code(b, _rows_for_exponents([1, 2, 6, 7]), 2.0)
 
 
 class TestHomIddCode:
@@ -470,6 +549,19 @@ class TestAgainstListAlgebra:
 
 
 class TestReports:
+    def test_one_enumeration_per_report(self, monkeypatch):
+        # a report reads d off the histogram that MacWilliams needs anyway;
+        # only a standalone min_distance runs the compiled Gray walk
+        walks = []
+        walk = codes._backend.min_weight_gf2
+        monkeypatch.setattr(codes._backend, "min_weight_gf2", lambda masks: walks.append(masks) or walk(masks))
+        b = _reference_matrix()
+        t = _rows_for_exponents([1, 2, 6, 7])
+        assert code_report(b, t, 2).d == 7
+        assert walks == []
+        assert min_distance(hom_idd_code(b, t, 2)) == 7
+        assert len(walks) == 1
+
     def test_code_report_fields(self):
         b = _reference_matrix()
         r = code_report(b, _rows_for_exponents([1, 2, 6, 7]), 2, label="S8")

@@ -13,6 +13,7 @@ from sigmatau.algebra import derivation_failure, mult_matrix, spec_from_json, sp
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
+    IddMatrix,
     code_report,
     dual_code,
     hom_idd_code,
@@ -166,6 +167,28 @@ def test_code_report_agrees_with_the_oracles(drawn):
         d=naive_min_distance(g, q) if g else None, lcd=lcd,
         dual_n=n, dual_k=dual.k, dual_d=dual_d,
     )
+
+
+@DIFFERENTIAL
+@given(code_subsets(primes=(2, 3)))
+@pytest.mark.filterwarnings("ignore:mod-.* rank .* is below the subset size")
+def test_code_report_reads_the_same_on_reduced_rows(drawn):
+    # a fresh IddMatrix reduces its rows mod q on this report; the warm one
+    # already holds them, from a report on another subset
+    b, subset, q = drawn
+
+    def outcome(matrix, t):
+        try:
+            return code_report(matrix, t, q, budget=ENUMERATED)
+        except ValueError as e:
+            return type(e), str(e)
+
+    warm = IddMatrix(b.B)
+    outcome(warm, [b.n])
+    assert q in warm._reduced
+    fresh = IddMatrix(b.B)
+    assert outcome(fresh, subset) == outcome(warm, subset)
+    assert fresh._reduced == warm._reduced
 
 
 def _family_basis(ring, sigma, tau):
