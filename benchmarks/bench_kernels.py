@@ -106,22 +106,6 @@ def bench_derivation_failure(rng, repeat):
     return "derivation_failure p=13 x200", compiled, pure
 
 
-def bench_min_weight(rng, repeat):
-    # the compiled Gray walk against the pure path's bit-sliced histogram
-    masks = [rng.getrandbits(32) for _ in range(20)]
-    stop = (1 << 20) - 1
-
-    def compiled():
-        from sigmatau import _kernels
-
-        _kernels.min_weight_gf2_u64(masks, 1, stop)
-
-    def pure():
-        _pykernels.weight_counts_gf2(masks, 32)
-
-    return "min_weight_gf2 k=20 n=32", compiled, pure
-
-
 def bench_weight_counts_modq(rng, k, n):
     # GF(3) has no compiled kernel; its codes run the pure histogram
     rows = [[rng.randrange(3) for _ in range(n)] for _ in range(k)]
@@ -225,7 +209,7 @@ def main():
 
     print(f"{'kernel':<34} {'compiled s':>12} {'pure s':>12} {'speedup':>10}", file=out)
     rng = random.Random(2024)
-    for builder in (bench_det, bench_det_sweep_cases, bench_derivation_failure, bench_min_weight):
+    for builder in (bench_det, bench_det_sweep_cases, bench_derivation_failure):
         label, compiled, pure = builder(rng, args.repeat)
         _print_row(out, label, best_of(compiled, args.repeat), best_of(pure, args.repeat))
     for label, fn in reference_report_passes():

@@ -4,10 +4,10 @@ Pipeline: a derivation D of a rank-n ring gives the n x n integer matrix B
 whose row i holds the coordinates of D applied to the i-th basis element;
 a subset T of rows that is Z-linearly independent is reduced entrywise mod a
 prime q and spans the code. Each code is eliminated once, when it is built,
-to its unique rref (standard_form), whose rank is the dimension. The dual
-has one generator per free column of that form, and only the dual's own
-construction eliminates again. A code is LCD iff its
-Gram matrix G G^T has full rank k over GF(q), on every field (Massey, 1992).
+to its unique rref (standard_form), whose rank is the dimension. On every
+field the dual is intlinalg.nullspace_mod_q of that form, one generator per
+free column. A code is LCD iff its Gram matrix G G^T has full rank k over
+GF(q), on every field (Massey, 1992).
 Minimum distance comes from exhaustive codeword enumeration. A report
 enumerates the code C alone: the dual's weight distribution follows from
 C's by the MacWilliams identity, B_j = q^-k sum_i A_i K_j(i) with integer
@@ -15,29 +15,23 @@ Krawtchouk values K_j(i), and every division is asserted exact (MacWilliams
 and Sloane, The Theory of Error-Correcting Codes, Ch. 5).
 
 Over GF(2) every row is an int bit mask, bit c holding coordinate c, from
-the generator rows onward: rref is one XOR pass over the masks, the dual's
-generators are masks read off the pivots, the Gram entries are parities of
-popcounts of ANDed rows and its rank is found by XOR, and the enumeration
-kernels take the masks as they are. A code keeps only the masks, and its
-standard form's tuples are built when first asked for. An IddMatrix checks
-and reduces its rows once per q, so the codes of its row subsets start from
-those reduced rows. Over GF(q > 2) rows stay lists: the
-code's rref and the Gram rank are intlinalg.rref_mod_q's, and the dual's
-words are intlinalg.nullspace_mod_q's on the standard form, whose rref pass
-finds that form already reduced.
+the generator rows onward: rref is one XOR pass over the masks, the Gram
+entries are parities of popcounts of ANDed rows and its rank is found by
+XOR, and the enumeration kernel takes the masks as they are. A code keeps
+only the masks, and its standard form's tuples are built when first asked
+for. An IddMatrix checks and reduces its rows once per q, so the codes of
+its row subsets start from those reduced rows. Over GF(q > 2) the code's
+rref and the Gram rank are intlinalg.rref_mod_q's.
 
 Enumeration is exact and refused up front, with BudgetExceededError, when
 q^k exceeds the codeword budget; the dual's q^(n-k) words are never walked,
-so the budget counts only C's. The pure backend builds one weight
-histogram per code, bit-sliced: each bit of a big int is one message's
-coordinate, so one integer operation advances up to 2^14 codewords, and a
-ripple counter of bit planes yields the exact counts (over GF(q > 2) each
-column keeps q one-hot lane masks, one per residue). The histogram is
-cached and the minimum distance is read off it, so a code is enumerated
-once whichever of the two is asked for first. The only other path is the
-compiled Gray walk, which gives a GF(2) minimum without a histogram; a
-report needs the histogram anyway, so only a standalone min_distance
-runs it.
+so the budget counts only C's. Each code gets one weight histogram,
+bit-sliced: each bit of a big int is one message's coordinate, so one
+integer operation advances up to 2^14 codewords, and a ripple counter of
+bit planes yields the exact counts (over GF(q > 2) each column keeps q
+one-hot lane masks, one per residue). The histogram is cached and the
+minimum distance is read off it, so a code is enumerated once, whichever
+of the two is asked for first.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ import warnings
 from dataclasses import dataclass, field
 from math import comb
 
-from . import _backend, _pykernels, intlinalg
+from . import _pykernels, intlinalg
 from .algebra import Coords, _images_of
 from .derivations import build_cyclotomic_derivation
 from .rings import endomorphism_by_name, make_cyclotomic
@@ -85,13 +79,7 @@ class IddMatrix:
     def _rows_mod(self, q: int) -> tuple:
         rows = self._reduced.get(q)
         if rows is None:
-            checked = [list(map(operator.index, row)) for row in self.B]
-            _check_lengths(checked, self.n)
-            if q == 2:
-                rows = tuple(map(_row_mask, checked))
-            else:
-                rows = tuple(tuple(v % q for v in row) for row in checked)
-            self._reduced[q] = rows
+            rows = self._reduced[q] = _checked_rows(self.B, self.n, q)
         return rows
 
 
@@ -126,26 +114,22 @@ def omega_reduce(m, q: int) -> list[list[int]]:
 
 class LinearCode:
     """Code over GF(q) spanned by generator rows; rref and rank are eager,
-    distance and weight distribution are computed on demand and cached.
+    the weight distribution is computed on demand and cached.
 
     Over GF(2) only the reduced rows' bit masks (bit c holds coordinate c) are
-    kept, which the dual, the LCD test and the enumerations read; the
-    standard form's tuples are built from them when first asked for.
+    kept, which the LCD test and the enumeration read; the standard form's
+    tuples, which the dual reads, are built from them when first asked for.
     """
 
-    __slots__ = ("q", "n", "k", "_masks", "_form", "_d", "_wd")
+    __slots__ = ("q", "n", "k", "_masks", "_form", "_wd")
 
     def __init__(self, q: int, n: int, generator):
         intlinalg._require_prime(q)
-        # a float or other non-integer entry raises TypeError
-        rows = [list(map(operator.index, row)) for row in generator]
-        _check_lengths(rows, n)
-        self._reduce(q, n, map(_row_mask, rows) if q == 2 else rows)
+        self._reduce(q, n, _checked_rows(generator, n, q))
 
     @classmethod
     def _of_checked(cls, q: int, n: int, rows) -> LinearCode:
-        """The code of rows already checked: bit masks over GF(2), rows of
-        integers of length n otherwise."""
+        """The code of rows that _checked_rows has already checked and reduced."""
         code = cls.__new__(cls)
         code._reduce(q, n, rows)
         return code
@@ -153,7 +137,6 @@ class LinearCode:
     def _reduce(self, q: int, n: int, rows) -> None:
         self.q = q
         self.n = n
-        self._d = None
         self._wd = None
         if q == 2:
             self._masks = tuple(_rref_gf2(rows))
@@ -184,10 +167,16 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
 
 
-def _check_lengths(rows, n: int) -> None:
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("generator rows must have the code length")
+def _checked_rows(rows, n: int, q: int) -> tuple:
+    """Rows of n integers reduced mod q: int bit masks for q = 2, tuples of
+    residues otherwise. A non-integer entry raises TypeError, checked before
+    any row's length, and a row of another length raises ValueError."""
+    rows = [list(map(operator.index, row)) for row in rows]
+    if any(len(row) != n for row in rows):
+        raise ValueError("generator rows must have the code length")
+    if q == 2:
+        return tuple(map(_row_mask, rows))
+    return tuple(tuple(v % q for v in row) for row in rows)
 
 
 def _row_mask(row) -> int:
@@ -250,32 +239,17 @@ def hom_idd_code(B: IddMatrix, T, q: int) -> LinearCode:
     return code
 
 
-def _check_budget(code: LinearCode, budget: int) -> None:
-    total = code.q ** code.k
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating {total} codewords exceeds the budget of {budget}"
-        )
-
-
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords, exhaustively.
 
     Never approximates: when q^k exceeds the budget the enumeration is
-    refused with BudgetExceededError. A code whose weight distribution is
-    cached reads the minimum off it. Otherwise a GF(2) code runs the compiled
-    Gray walk when the extension is built and its masks fit, and any other
-    code reads it off weight_distribution's histogram, which caches it.
+    refused with BudgetExceededError. The minimum is the least nonzero
+    weight of weight_distribution's histogram, so a code whose histogram is
+    cached enumerates nothing and is not held to the budget.
     """
     if code.k < 1:
         raise ValueError("minimum distance of the zero code is undefined")
-    if code._d is None:
-        if code._wd is None and code.q == 2:
-            _check_budget(code, budget)
-            code._d = _backend.min_weight_gf2(code._masks)
-        if code._d is None:
-            code._d = _least_weight(weight_distribution(code, budget))
-    return code._d
+    return _least_weight(weight_distribution(code, budget))
 
 
 def _least_weight(wd) -> int | None:
@@ -287,22 +261,20 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> tuple
     """Counts of codewords by Hamming weight, indices 0..n, zero word included.
 
     Every one of the q^k codewords is enumerated, bit-sliced over every
-    field, so the budget refuses the same codes as min_distance. The counts
-    are cached, and min_distance reads its minimum off them; a minimum the
-    compiled walk found first is cross-checked against them.
+    field, and the budget refuses the code up front when q^k exceeds it. The
+    counts are cached, and min_distance reads its minimum off them.
     """
     if code._wd is not None:
         return code._wd
-    _check_budget(code, budget)
+    total = code.q ** code.k
+    if total > budget:
+        raise BudgetExceededError(f"enumerating {total} codewords exceeds the budget of {budget}")
     if code.q == 2:
         counts = _pykernels.weight_counts_gf2(code._masks, code.n)
     else:
         counts = _pykernels.weight_counts_modq(code.standard_form, code.q, code.n)
-    wd = tuple(counts)
-    if code._d is not None and code._d != _least_weight(wd):
-        raise AssertionError("weight distribution disagrees with the Gray walk")
-    code._wd = wd
-    return wd
+    code._wd = tuple(counts)
+    return code._wd
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,19 +317,13 @@ def _macwilliams_dual(wd, q: int, k: int) -> tuple[int, ...]:
 def dual_code(code: LinearCode) -> LinearCode:
     """Orthogonal complement; dimensions always satisfy k + dual k == n.
 
-    Over GF(2) the null basis is read off the pivots of the masks: each free
-    column f gives the word with 1 at f and at the pivot of each row holding
-    f. Over GF(q > 2) it is nullspace_mod_q of the standard form, whose rref
-    pass finds that form already reduced; the zero code stands in as one
-    zero row, so its dual is all of GF(q)^n.
+    The null basis is nullspace_mod_q of the standard form on every field,
+    one word per free column; its rref pass finds that form already reduced.
+    The zero code stands in as one zero row, so its dual is all of GF(q)^n,
+    and a code of dimension n has the zero code as its dual.
     """
-    q, n = code.q, code.n
-    if q == 2:
-        masks = code._masks
-        pivots = sum(m & -m for m in masks)
-        free = [1 << f for f in range(n) if not pivots >> f & 1]
-        return LinearCode._of_checked(2, n, [f | sum(m & -m for m in masks if m & f) for f in free])
-    return LinearCode(q, n, intlinalg.nullspace_mod_q(code.standard_form or [[0] * n], q))
+    n = code.n
+    return LinearCode(code.q, n, intlinalg.nullspace_mod_q(code.standard_form or [[0] * n], code.q))
 
 
 def is_lcd(code: LinearCode) -> bool:

@@ -176,8 +176,8 @@ def gray_min_weight_gf2(masks, start, stop):
 
     masks[b] is generator row b as a bitmask. Message index m encodes the
     codeword of gray(m) = m ^ (m >> 1); index 0 is the zero word, so a whole
-    code is start=1, stop=2**k - 1. None for an empty range. This is the
-    reference for the compiled walk, which takes the same arguments.
+    code is start=1, stop=2**k - 1. None for an empty range. The least
+    nonzero weight of the bit-sliced histogram is checked against it.
     """
     if stop < start:
         return None

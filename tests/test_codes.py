@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from sigmatau import _backend, _pykernels, codes, intlinalg
+from sigmatau import _pykernels, intlinalg
 from sigmatau.codes import (
     BudgetExceededError,
     CodeReport,
@@ -194,7 +194,6 @@ class TestLazyStandardForm:
         min_distance(code)
         weight_distribution(code)
         is_lcd(code)
-        dual_code(code)
         assert code._form is None
 
 
@@ -337,7 +336,7 @@ class TestMinDistance:
     def test_cached(self):
         code = LinearCode(2, 4, [[1, 1, 1, 1]])
         assert min_distance(code) == 4
-        assert code._d == 4
+        assert code._wd == (1, 0, 0, 0, 1)
         assert min_distance(code, budget=1) == 4  # cache hit skips the budget
 
 
@@ -383,8 +382,7 @@ class TestWeightDistribution:
 
     @pytest.mark.parametrize("q, kernel", [(2, "weight_counts_gf2"), (3, "weight_counts_modq")])
     def test_one_enumeration_per_gfq_code(self, monkeypatch, q, kernel):
-        # one histogram per code, whichever question comes first; only the
-        # compiled GF(2) walk answers min_distance without one
+        # one histogram per code, whichever question comes first
         histogram = getattr(_pykernels, kernel)
         calls = []
 
@@ -396,16 +394,16 @@ class TestWeightDistribution:
         rows = [[1, 0, 2, 1, 1, 0], [0, 1, 1, 2, 0, 1], [1, 1, 0, 0, 2, 2]]
         g = [list(r) for r in LinearCode(q, 6, rows).standard_form]
         assert len(g) == 3
-        walk = q == 2 and _backend.BACKEND == "compiled"
         for first, second in ((min_distance, weight_distribution), (weight_distribution, min_distance)):
             calls.clear()
             code = LinearCode(q, 6, rows)
             first(code)
-            assert len(calls) == (0 if walk and first is min_distance else 1)
+            assert len(calls) == 1
             second(code)
             assert len(calls) == 1
-            assert code._d == naive_min_distance(g, q)
-            assert list(code._wd) == naive_weight_counts(g, q, 6)
+            assert min_distance(code) == naive_min_distance(g, q)
+            assert list(weight_distribution(code)) == naive_weight_counts(g, q, 6)
+            assert len(calls) == 1
 
 
 class TestDual:
@@ -423,10 +421,21 @@ class TestDual:
         code = LinearCode(5, 5, [[1, 2, 3, 4, 0], [0, 1, 0, 1, 4]])
         assert dual_code(dual_code(code)) == code
 
-    def test_zero_code_dual_is_everything(self):
-        code = LinearCode(3, 4, [])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_zero_code_dual_is_everything(self, q):
+        code = LinearCode(q, 4, [])
         dual = dual_code(code)
         assert dual.k == 4
+        assert dual == LinearCode(q, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_full_code_dual_is_zero(self, q):
+        code = LinearCode(q, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        assert code.k == 4
+        dual = dual_code(code)
+        assert dual.k == 0
+        assert dual == LinearCode(q, 4, [])
+        assert dual_code(dual) == code
 
 
 class TestMacWilliams:
@@ -550,17 +559,22 @@ class TestAgainstListAlgebra:
 
 class TestReports:
     def test_one_enumeration_per_report(self, monkeypatch):
-        # a report reads d off the histogram that MacWilliams needs anyway;
-        # only a standalone min_distance runs the compiled Gray walk
-        walks = []
-        walk = codes._backend.min_weight_gf2
-        monkeypatch.setattr(codes._backend, "min_weight_gf2", lambda masks: walks.append(masks) or walk(masks))
+        # a report reads d off the histogram that MacWilliams needs anyway,
+        # and a standalone min_distance builds the same histogram, on either
+        # backend; a code's later questions read the cached one
+        calls = []
+        histogram = _pykernels.weight_counts_gf2
+        monkeypatch.setattr(_pykernels, "weight_counts_gf2", lambda *args: calls.append(args) or histogram(*args))
         b = _reference_matrix()
         t = _rows_for_exponents([1, 2, 6, 7])
         assert code_report(b, t, 2).d == 7
-        assert walks == []
-        assert min_distance(hom_idd_code(b, t, 2)) == 7
-        assert len(walks) == 1
+        assert len(calls) == 1
+        code = hom_idd_code(b, t, 2)
+        assert min_distance(code) == 7
+        assert len(calls) == 2
+        assert min_distance(code) == 7
+        assert weight_distribution(code)[7] > 0
+        assert len(calls) == 2
 
     def test_code_report_fields(self):
         b = _reference_matrix()
