@@ -5,9 +5,11 @@ reports best-of-N wall times: the determinant on a dense random 12x12 matrix
 and on every sweep case A(31, u, w), then the end-to-end sweep, whose
 pure-backend run happens in a subprocess with SIGMATAU_PURE=1 so the
 in-process backend choice stays untouched. Kernels with no compiled twin,
-the GF(q) weight histogram, get pure-only rows, printed on either backend,
-as do whole code_report calls with the compiled kernels switched off: the
-thirteen reference subsets together, and a [30, 3] binary code at p = 31
+the GF(3) and GF(2) weight histograms, get pure-only rows, printed on either
+backend; the GF(2) rows take the reduced masks of seeded [28, 18] and
+[30, 20] codes, the shapes that cost most in code reports. So do whole
+code_report calls with the compiled kernels switched off: the thirteen
+reference subsets together, and a [30, 3] binary code at p = 31
 whose 2^27-word dual comes from the MacWilliams identity. The thirteen
 reports also get a cold row, on an IddMatrix that has not reduced its rows
 mod 2 yet, and a warm row, on one that has; with the extension built they
@@ -26,6 +28,7 @@ import time
 from sigmatau import _backend, _pykernels
 from sigmatau.codes import (
     IddMatrix,
+    LinearCode,
     code_report,
     idd_matrix,
     load_reference_fixture,
@@ -104,6 +107,20 @@ def bench_derivation_failure(rng, repeat):
             _pykernels.derivation_failure(spec.table, d, sigma.images, tau.images)
 
     return "derivation_failure p=13 x200", compiled, pure
+
+
+def bench_weight_counts_gf2(rng, k, n):
+    # the kernel reads the masks of the code's rref, as code_report passes them
+    while True:
+        code = LinearCode(2, n, [[rng.getrandbits(1) for _ in range(n)] for _ in range(k)])
+        if code.k == k:
+            break
+    masks = code._masks
+
+    def pure():
+        _pykernels.weight_counts_gf2(masks, n)
+
+    return f"weight_counts_gf2 [{n},{k}]", pure
 
 
 def bench_weight_counts_modq(rng, k, n):
@@ -200,6 +217,9 @@ def main():
     rng = random.Random(2024)
     for k, n in ((10, 16), (12, 30)):
         label, pure = bench_weight_counts_modq(rng, k, n)
+        print(f"{label:<34} {best_of(pure, args.repeat):>12.4f}", file=out)
+    for k, n in ((18, 28), (20, 30)):
+        label, pure = bench_weight_counts_gf2(rng, k, n)
         print(f"{label:<34} {best_of(pure, args.repeat):>12.4f}", file=out)
     for label, pure in (*pure_code_reports(), *reference_report_passes()):
         print(f"{label:<34} {best_of_pure(pure, args.repeat):>12.4f}", file=out)

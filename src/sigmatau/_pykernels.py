@@ -6,10 +6,14 @@ _backend falls back to the twin. The one product through a structure table,
 _support, _expand and _apply, shared by algebra's mul and maps and by
 _law_failure, the one basis-pair law scan. And the bit-sliced weight
 histograms over GF(2) and GF(q), which differ in how they build each
-column's lane masks and share one lane counter, _tally_lanes. Over GF(q) a
-column keeps q masks of q^low bits; when q^2 > 2^14 the last row never goes
-into the lanes, so a one-row code at large q walks its q words rather than
-build n q^2 bits of masks.
+column's lane masks and share one lane counter: _ripple adds columns to its
+bit planes and _tally_lanes counts the lanes of each weight. Over GF(2) a
+low row's lane pattern is one period doubled by shifted ORs, and the
+columns no high row touches, the same in every block, are rippled once into
+base planes that each block starts from. Over GF(q) a column keeps q masks
+of q^low bits; when q^2 > 2^14 the last row never goes into the lanes, so a
+one-row code at large q walks its q words rather than build n q^2 bits of
+masks.
 Helpers stay private, so a tracer wrapping the public ones sees no product
 in a kernel.
 """
@@ -123,12 +127,10 @@ def _law_failure(table, d, sig, tau, pairs):
 _BLOCK_BITS = 14
 
 
-def _tally_lanes(cols, full: int, offset: int, counts: list[int]) -> None:
-    """Add to counts the weight of every lane of full: offset plus the number
-    of masks in cols that hold the lane. counts has one slot per weight."""
-    # a ripple counter of bit planes adds the columns of every lane at once
-    depth = (len(counts) - 1).bit_length()
-    planes = [0] * depth
+def _ripple(planes: list[int], cols) -> list[int]:
+    """Add every mask of cols to the ripple counter whose bit planes are
+    planes, in place: bit j of a lane's count is in planes[j]."""
+    depth = len(planes)
     for x in cols:
         for j in range(depth):
             p = planes[j]
@@ -136,8 +138,14 @@ def _tally_lanes(cols, full: int, offset: int, counts: list[int]) -> None:
             x &= p
             if not x:
                 break
+    return planes
+
+
+def _tally_lanes(planes: list[int], full: int, offset: int, counts: list[int]) -> None:
+    """Add to counts the weight of every lane of full: offset plus the lane's
+    count in the bit planes. counts has one slot per weight."""
     # split the lanes by the planes, top plane first, and count each leaf
-    stack = [(full, depth - 1, offset)]
+    stack = [(full, len(planes) - 1, offset)]
     while stack:
         s, j, w = stack.pop()
         if j < 0:
@@ -163,26 +171,40 @@ def weight_counts_gf2(masks, n: int) -> list[int]:
     lanes = 1 << low
     full = (1 << lanes) - 1
     # bit m of cols[c] is coordinate c of the codeword of low message m: the
-    # XOR, over the low rows r that have column c set, of "bit r of m"
+    # XOR, over the low rows r that have column c set, of "bit r of m". That
+    # pattern repeats half zeros then half ones, half = 2^r; one period is
+    # doubled by shifted ORs until it fills the block.
     cols = [0] * n
     for r in range(low):
         half = 1 << r
-        pattern = (((1 << half) - 1) << half) * full // ((1 << (2 * half)) - 1)
+        pattern = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < lanes:
+            pattern |= pattern << width
+            width *= 2
         row = masks[r]
         while row:
             bit = row & -row
             cols[bit.bit_length() - 1] ^= pattern
             row ^= bit
-    # columns the low rows never touch are constant on a block
+    # Columns the low rows never touch are constant on a block: they add
+    # one to the offset where the high message sets them. Columns no high
+    # row touches are the same in every block, so they ripple once into the
+    # base planes, and each block adds only the columns both kinds touch.
+    touched = 0
+    for m in masks[low:]:
+        touched |= m
     const = sum(1 << c for c in range(n) if not cols[c])
-    live = [(c, x) for c, x in enumerate(cols) if x]
+    fixed = [x for c, x in enumerate(cols) if x and not touched >> c & 1]
+    live = [(c, x) for c, x in enumerate(cols) if x and touched >> c & 1]
+    base = _ripple([0] * n.bit_length(), fixed)
     counts = [0] * (n + 1)
     high = 0
     for h in range(1 << (k - low)):
         if h:
             high ^= masks[low + (h & -h).bit_length() - 1]
         flipped = [x ^ full if high >> c & 1 else x for c, x in live]
-        _tally_lanes(flipped, full, (high & const).bit_count(), counts)
+        _tally_lanes(_ripple(base.copy(), flipped), full, (high & const).bit_count(), counts)
     if sum(counts) != 1 << k:
         raise AssertionError("bit-sliced weight counts do not sum to 2^k")
     return counts
@@ -238,8 +260,8 @@ def weight_counts_modq(rows, q: int, n: int) -> list[int]:
                 t //= q
                 r += 1
             shift = [(a + b) % q for a, b in zip(shift, rows[r])]
-        cols = [nonzero[shift[c]] for c, nonzero in live]
-        _tally_lanes(cols, full, sum(1 for c in const if shift[c]), counts)
+        planes = _ripple([0] * n.bit_length(), [nonzero[shift[c]] for c, nonzero in live])
+        _tally_lanes(planes, full, sum(1 for c in const if shift[c]), counts)
     if sum(counts) != q ** k:
         raise AssertionError("bit-sliced weight counts do not sum to q^k")
     return counts

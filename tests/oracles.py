@@ -9,6 +9,7 @@ updates that leave a row unchanged: it checks that skip alone.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 
 def det_cofactor(a):
@@ -209,6 +210,23 @@ def naive_weight_counts(generator_rows, q, n):
         seen.add(word)
         counts[sum(1 for v in word if v)] += 1
     return counts
+
+
+def macwilliams_transform(counts, q, n, k):
+    """Weight distribution of the dual of a k-dimensional code of length n
+    over GF(q) whose distribution is counts: q^-k sum_i counts[i] K_j(i),
+    each Krawtchouk value K_j(i) summed term by term, in Fractions. Raises
+    ValueError when a result is not an integer."""
+    out = []
+    for j in range(n + 1):
+        total = Fraction(0)
+        for i, a in enumerate(counts):
+            kj = sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+            total += Fraction(a * kj, q**k)
+        if total.denominator != 1:
+            raise ValueError(f"MacWilliams count for weight {j} is not an integer: {total}")
+        out.append(int(total))
+    return out
 
 
 def _rank_mod_q(rows, q):

@@ -35,6 +35,7 @@ from sigmatau.intlinalg import rref_mod_q
 from sigmatau.rings import endomorphism_by_name, endomorphisms, make_cyclotomic, make_quadratic
 
 from .oracles import (
+    macwilliams_transform,
     mat_mul,
     min_dependent_columns,
     naive_min_distance,
@@ -488,6 +489,37 @@ class TestMacWilliams:
         wd[7] += 1
         with pytest.raises(AssertionError, match="not exact"):
             _macwilliams_dual(wd, 2, code.k)
+
+
+class TestBenchmarkSizedCodes:
+    """The benchmark's GF(2) shapes, k = 18 and 20, checked exactly: the dual
+    of at most 2^10 words is enumerated naively and transformed back."""
+
+    @staticmethod
+    def _code_and_dual(rng, n, k):
+        # G = [I | P] and H = [P^T | I] span duals; one column permutation
+        # for both, and G's rows mixed so the code reduces them itself
+        p = [[rng.getrandbits(1) for _ in range(n - k)] for _ in range(k)]
+        g = [[int(i == j) for j in range(k)] + p[i] for i in range(k)]
+        h = [[p[i][j] for i in range(k)] + [int(j == i) for i in range(n - k)] for j in range(n - k)]
+        perm = rng.sample(range(n), n)
+        g = [[row[c] for c in perm] for row in g]
+        h = [[row[c] for c in perm] for row in h]
+        for _ in range(3 * k):
+            a, b = rng.sample(range(k), 2)
+            g[a] = [x ^ y for x, y in zip(g[a], g[b])]
+        assert all(sum(x * y for x, y in zip(gr, hr)) % 2 == 0 for gr in g for hr in h)
+        return g, h
+
+    @pytest.mark.parametrize("n, k", [(28, 18), (22, 20), (30, 20)])
+    def test_distribution_matches_the_dual_transformed_back(self, n, k):
+        rng = random.Random(n * 100 + k)
+        g, h = self._code_and_dual(rng, n, k)
+        code = LinearCode(2, n, g)
+        assert code.k == k
+        dual_counts = naive_weight_counts(h, 2, n)
+        assert sum(dual_counts) == 1 << (n - k)
+        assert list(weight_distribution(code)) == macwilliams_transform(dual_counts, 2, n, n - k)
 
 
 class TestLcd:

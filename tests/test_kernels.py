@@ -3,12 +3,13 @@ import inspect
 import itertools
 import random
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from sigmatau import _backend, _pykernels
-from sigmatau.codes import LinearCode, min_distance
+from sigmatau.codes import LinearCode, _rref_gf2, min_distance
 from sigmatau.derivations import biquadratic_basis, build_cyclotomic_derivation
 from sigmatau.rings import endomorphisms, make_biquadratic, make_cyclotomic
 
@@ -177,6 +178,52 @@ class TestBitSlicedWeights:
         rng = random.Random(101)
         masks = [rng.getrandbits(9) for _ in range(15)]
         assert _pykernels.weight_counts_gf2(masks, 9) == _direct_weight_counts(masks, 9)
+
+    @staticmethod
+    def _planted(rng, k):
+        """Masks of k rows over four groups of columns, the rows below 2^14
+        lanes being low and the rest high: columns touched by low rows only,
+        by high rows only, by both, and by none. The low rows touch more
+        than 14 columns, so they cannot span every word on them, and a high
+        row's flips change the histogram. Drawn until the rows are
+        independent, so their rref keeps all k."""
+        low = min(k, 14)
+        kinds = ["low"] * 8 + ["high"] * 4 + ["both"] * 8 + ["none"] * 2
+        masks = []
+        while len(_rref_gf2(masks)) < k:
+            rng.shuffle(kinds)
+            masks = [0] * k
+            for c, kind in enumerate(kinds):
+                rows = {"low": range(low), "high": range(low, k), "both": range(k), "none": ()}[kind]
+                for r in rows:
+                    masks[r] |= rng.getrandbits(1) << c
+                if kind in ("low", "both"):
+                    masks[rng.randrange(low)] |= 1 << c
+                if kind in ("high", "both") and k > low:
+                    masks[rng.randrange(low, k)] |= 1 << c
+        return masks, len(kinds)
+
+    def test_full_histogram_across_block_boundary(self):
+        # every kind of column, on the masks as drawn and on their rref,
+        # where each low pivot column is touched by its low row alone
+        rng = random.Random(109)
+        for k in (14, 15, 16, 17):
+            masks, n = self._planted(rng, k)
+            for m in (masks, _rref_gf2(masks)):
+                assert _pykernels.weight_counts_gf2(m, n) == _direct_weight_counts(m, n), (k, m)
+        # a high row that is the XOR of a low row and another high row
+        masks, n = self._planted(rng, 16)
+        masks[15] = masks[3] ^ masks[14]
+        counts = _pykernels.weight_counts_gf2(masks, n)
+        assert counts == _direct_weight_counts(masks, n)
+        assert counts[0] >= 2
+
+    def test_identity_codes_across_block_boundary(self):
+        # k = n: column r is row r alone, so every column but the low rows'
+        # is constant on a block, and weight w is hit C(k, w) times
+        for k in (14, 15, 17):
+            masks = [1 << r for r in range(k)]
+            assert _pykernels.weight_counts_gf2(masks, k) == [comb(k, w) for w in range(k + 1)]
 
     def test_wide_code(self):
         rng = random.Random(103)
