@@ -179,13 +179,13 @@ def best_of_pure(fn, repeat):
 
 def bench_sweep(max_p, out):
     t0 = time.perf_counter()
-    report = sweep(3, max_p, jobs=1)
+    report = sweep(3, max_p)
     compiled_s = time.perf_counter() - t0
     snippet = (
         "import time\n"
         "from sigmatau.conjecture import sweep\n"
         "t0 = time.perf_counter()\n"
-        f"sweep(3, {max_p}, jobs=1)\n"
+        f"sweep(3, {max_p})\n"
         "print(time.perf_counter() - t0)\n"
     )
     proc = subprocess.run(

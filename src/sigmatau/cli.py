@@ -9,7 +9,6 @@ time: the `elapsed:` line of its table and the `seconds` field of its JSON.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
@@ -182,9 +181,7 @@ def _cmd_sweep(args, out) -> int:
 
     report = conjecture.sweep(args.min_p, args.max_p)
     if args.format == "csv":
-        buf = io.StringIO()
-        conjecture.write_cases_csv(report, buf)
-        out.write(buf.getvalue())
+        conjecture.write_cases_csv(report, out)
     elif args.format == "json":
         json.dump(conjecture.summary_json(report), out, indent=2)
         print(file=out)
@@ -199,6 +196,8 @@ def _cmd_sweep(args, out) -> int:
 def _cmd_code(args, out) -> int:
     from . import codes
 
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget must be positive")
     ring, sigma, tau = _ring_args(args)
     d = _build_derivation(ring, sigma, tau, args)
     b = codes.idd_matrix(ring, d)
@@ -289,11 +288,6 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--images", help="basis images, ';'-separated coordinate lists")
 
 
-def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    # hidden, kept so older command lines parse; run() refuses values below 1
-    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sigmatau",
@@ -333,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="determinant sweep over odd primes")
     p.add_argument("--min-p", type=int, default=3)
     p.add_argument("--max-p", type=int, default=49, help="inclusive upper bound")
-    _add_jobs_flag(p)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_sweep)
 
@@ -344,13 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="prime modulus")
     p.add_argument("--label", default="")
     p.add_argument("--budget", type=int)  # None: codes.DEFAULT_BUDGET
-    _add_jobs_flag(p)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("reproduce-paper", help="recompute the shipped reference results")
     p.add_argument("--section", choices=["all", "3.2", "4.4", "sweep"], default="all")
-    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return top
@@ -372,10 +363,6 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_coordinate_values(argv))
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError("jobs must be positive")
-        if getattr(args, "budget", None) is not None and args.budget < 1:
-            raise ValueError("budget must be positive")
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,8 +79,9 @@ def primes_in(lo: int, hi: int) -> list[int]:
 def sweep(p_min: int = 3, p_max: int = 49, jobs: int = 1) -> SweepReport:
     """Evaluate every case for every odd prime in [p_min, p_max] (inclusive).
 
-    Every case runs in the calling process; jobs is accepted, and must be
-    positive, so that older callers keep working.
+    Every case runs in the calling process. jobs changes nothing and must be
+    positive; it is kept because perfbench's sweep workload and acceptance
+    criterion 3 pass it.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")

@@ -183,12 +183,8 @@ def _errors_and_checks():
     yield ("check", "--from-file", "-"), json.dumps(doc) + "\n"
     for spec in ("octic:2", "biquadratic:2", "cyclotomic:x", "quadratic:4", "cyclotomic:9"):
         yield ("ring", "--ring", spec), ""
-    # the hidden --jobs is refused below 1 on every command that takes it
-    code = ("code", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0", "--subset", "1,2")
-    for argv in (("sweep", "--max-p", "5"), ("reproduce-paper", "--section", "3.2"), code):
-        yield (*argv, "--jobs", "0"), ""
     # the refusals of code, on the S8 code: a budget below q^k, a dependent
-    # subset, and a budget below 1, refused like --jobs 0
+    # subset, and a budget below 1, refused before any work
     s8 = ("code", "--ring", "cyclotomic:17", "--sigma", "1", "--tau", "3",
           "--dzeta", "1,1,1,1,0,1,0,1,1,0,0,1,0,0,0,0", "--subset")
     yield (*s8, "2,3,7,8", "--budget", "3"), ""

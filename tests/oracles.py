@@ -311,6 +311,19 @@ def derivation_law_holds(table, d_images, s_images, t_images, pairs):
     return True
 
 
+def law_holds_on_generators(table, d_images, s_images, t_images, generators):
+    """The twisted Leibniz law on (e_0, e_0) and on (e_k, e_g) for every basis
+    index k and every g in generators, each pair checked from scratch.
+
+    On a commutative ring with unity e_0 that the e_g generate, this decides
+    the law on every pair: (e_0, e_0) forces D(1) = 0, and the law on (x, y)
+    and (x, z) for every x gives it on (x, yz).
+    """
+    units = basis_elements(len(table))
+    pairs = [(units[0], units[0])] + [(e, units[g]) for g in generators for e in units]
+    return derivation_law_holds(table, d_images, s_images, t_images, pairs)
+
+
 def first_law_failure(table, d_images, s_images, t_images):
     """First basis pair (i, j) in row-major order where the twisted Leibniz
     law fails, each pair checked from scratch, else None."""

@@ -300,31 +300,16 @@ class TestSweep:
         assert "failures: 0" in out
         assert "sign mismatches: 0" in out
 
-    def test_jobs_still_parses(self, capsys):
-        # the sweep runs in one process; --jobs is accepted so older command lines work
-        _, plain, _ = _run(capsys, "sweep", "--max-p", "7", "--format", "csv")
-        status, out, _ = _run(capsys, "sweep", "--max-p", "7", "--jobs", "3", "--format", "csv")
-        assert status == 0
-        assert out == plain
-
-    @pytest.mark.parametrize("command", ["sweep", "reproduce-paper", "code"])
-    def test_help_hides_jobs(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "--format" in out or "--section" in out
-        assert "--jobs" not in out
-
     @pytest.mark.parametrize("argv", [
         ["sweep", "--max-p", "5"],
         ["reproduce-paper", "--section", "3.2"],
         ["code", "--ring", "cyclotomic:5", "--sigma", "1", "--tau", "2", "--dzeta", "1,0,0,0", "--subset", "1,2"],
     ], ids=["sweep", "reproduce-paper", "code"])
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_refused(self, capsys, argv, jobs):
-        status, out, err = _run(capsys, *argv, "--jobs", jobs)
-        assert (status, out, err) == (1, "", "error: jobs must be positive\n")
+    def test_jobs_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--jobs", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
 
 class TestCode:
@@ -358,13 +343,6 @@ class TestCode:
             "2 3 7 8  16  4  7  non-LCD  16      12      2     ",
         ]
 
-    def test_jobs_still_parses(self, capsys):
-        # codes run in one process; --jobs is accepted so older command lines work
-        _, plain, _ = _run(capsys, *self.ARGS, "--format", "csv")
-        status, out, _ = _run(capsys, *self.ARGS, "--format", "csv", "--jobs", "3")
-        assert status == 0
-        assert out == plain
-
     def test_budget_exceeded(self, capsys):
         status, _, err = _run(capsys, *self.ARGS, "--budget", "3")
         assert status == 1
@@ -375,6 +353,14 @@ class TestCode:
             status, out, err = _run(capsys, *self.ARGS, "--budget", budget)
             assert (status, out) == (1, "")
             assert err == "error: budget must be positive\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_refused_before_the_ring_is_read(self, capsys, budget):
+        # cyclotomic:9 is no ring; the budget check comes first all the same
+        argv = ["code", "--ring", "cyclotomic:9", "--sigma", "1", "--tau", "2",
+                "--dzeta", "1,0,0,0", "--subset", "1", "--budget", budget]
+        status, out, err = _run(capsys, *argv)
+        assert (status, out, err) == (1, "", "error: budget must be positive\n")
 
     def test_large_prime_modulus_refused_fast(self, capsys):
         # q = 2^61 - 1 is prime, and q^2 is far over the default budget
@@ -446,8 +432,8 @@ class TestReproduce:
         # the section sweeps p <= 49; p <= 13 runs the same report path
         real = conjecture.sweep
 
-        def small(p_min, p_max, jobs=1):
-            report = real(p_min, 13, jobs=jobs)
+        def small(p_min, p_max):
+            report = real(p_min, 13)
             return dataclasses.replace(report, cases=report.cases + tuple(extra))
 
         monkeypatch.setattr(conjecture, "sweep", small)

@@ -33,8 +33,9 @@ from sigmatau.derivations import (
     quadratic_inner,
 )
 from sigmatau.intlinalg import det_bareiss, rank_int, rref_mod_q, solve_integer, transpose
-from sigmatau.rings import BiquadraticRing, CyclotomicRing, QuadraticRing
+from sigmatau.rings import BiquadraticRing, CyclotomicRing, QuadraticRing, make_biquadratic
 
+from .counterexamples import ALL_COUNTEREXAMPLES
 from .oracles import (
     basis_elements,
     derivation_lattice,
@@ -42,6 +43,7 @@ from .oracles import (
     det_bareiss_every_row,
     det_cofactor,
     first_law_failure,
+    law_holds_on_generators,
     mat_mul,
     min_dependent_columns,
     naive_min_distance,
@@ -107,6 +109,44 @@ def test_planted_fault_fails_at_the_oracles_first_pair(drawn):
     else:
         with pytest.raises(ValueError, match=re.escape(f"law fails at basis pair {want}")):
             decide(ring, sigma, tau, m)
+
+
+@DIFFERENTIAL
+@given(planted_faults())
+def test_law_on_generator_pairs_decides_every_basis_pair(drawn):
+    ring, sigma, tau, m, _ = drawn
+    # a biquadratic basis needs e_1 and e_2 to generate the ring; every other
+    # family here has a power basis, generated by e_1
+    generators = (1, 2) if isinstance(ring, BiquadraticRing) else (1,)
+    table, maps = ring.spec.table, (m.images, sigma.images, tau.images)
+    units = basis_elements(ring.spec.rank)
+    every_pair = derivation_law_holds(table, *maps, [(x, y) for x in units for y in units])
+    assert law_holds_on_generators(table, *maps, generators) == every_pair
+
+
+@pytest.mark.parametrize("name,build,pair", ALL_COUNTEREXAMPLES)
+def test_counterexamples_fail_on_generator_pairs(name, build, pair):
+    # each algebra is spanned by powers of e_1
+    spec, sigma, tau, d = build()
+    assert not law_holds_on_generators(spec.table, d.images, sigma.images, tau.images, (1,))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (-1, 5), (6, 10)])
+@pytest.mark.parametrize("kept,dropped", [(1, 2), (2, 1)])
+def test_biquadratic_law_needs_both_generators(m, n, kept, dropped):
+    # sigma = tau = id. D(e_kept) = 0, D(e_dropped) = 1 and D(sqrt(mn)) =
+    # e_kept obey the law on every (e_k, e_kept) but not on (e_dropped,
+    # e_dropped), where D(m or n) = 0 differs from 2 e_dropped. A planted
+    # single-coordinate fault never has this shape.
+    table = make_biquadratic(m, n).spec.table
+    units = basis_elements(4)
+    d_images = [(0, 0, 0, 0)] * 3 + [units[kept]]
+    d_images[dropped] = units[0]
+    maps = (d_images, units, units)
+    assert law_holds_on_generators(table, *maps, (kept,))
+    assert not law_holds_on_generators(table, *maps, (1, 2))
+    assert not derivation_law_holds(table, *maps, [(x, y) for x in units for y in units])
+    assert not derivation_law_holds(table, *maps, [(units[dropped], units[dropped])])
 
 
 @DIFFERENTIAL
